@@ -12,16 +12,15 @@
 #ifndef ATOMSIM_ATOM_AUS_HH
 #define ATOMSIM_ATOM_AUS_HH
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include <unordered_set>
-
 #include "atom/log_record.hh"
+#include "mem/memory_controller.hh"
+#include "sim/addr_table.hh"
 #include "sim/callback.hh"
+#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -37,20 +36,41 @@ constexpr std::uint32_t kNoBucket = ~std::uint32_t(0);
  */
 using LogAckCallback = InplaceCallback<96>;
 
+/** A BASE-mode ack parked on a record's header persist (pooled). */
+struct PersistAck
+{
+    PersistAck *next = nullptr;
+    LogAckCallback cb;
+};
+
 /**
  * The record currently being assembled (the record-header register),
- * or one that is sealed but whose header has not yet persisted.
+ * or one that is sealed but whose header has not yet persisted. A
+ * fixed register: at most LogRecordHeader::kMaxEntries entry addresses
+ * (Section IV-C), held inline. LogM pools these.
  */
 struct OpenRecord
 {
+    OpenRecord *next = nullptr;  //!< pool free-list link
     Addr base = 0;             //!< NVM address of the record
     std::uint32_t seq = 0;     //!< per-AUS monotonic sequence
-    std::vector<Addr> entries; //!< logged line addresses (<= 7)
+    std::uint32_t count = 0;   //!< entries[0, count) are logged lines
+    std::array<Addr, LogRecordHeader::kMaxEntries> entries{};
     std::uint32_t pendingData = 0; //!< entry data writes not yet durable
     bool sealed = false;       //!< no more entries may be added
     bool headerIssued = false; //!< header write handed to the channel
     /** BASE-mode acks to fire when the header persists (Figure 3(a)). */
-    std::vector<LogAckCallback> persistAcks;
+    NodeFifo<PersistAck> acks;
+
+    /** True when @p line is one of the record's entries. */
+    bool
+    holds(Addr line) const
+    {
+        for (std::uint32_t i = 0; i < count; ++i)
+            if (entries[i] == line)
+                return true;
+        return false;
+    }
 };
 
 /** Per-(controller, AUS) registers. */
@@ -65,10 +85,11 @@ struct AusState
     /** Next sequence number to assign (monotonic across updates). */
     std::uint32_t nextSeq = 0;
 
-    /** Record being filled (the record-header register). */
-    std::unique_ptr<OpenRecord> open;
-    /** Sealed records whose headers have not yet persisted. */
-    std::vector<std::unique_ptr<OpenRecord>> sealing;
+    /** Record being filled (the record-header register), or null. */
+    OpenRecord *open = nullptr;
+    /** Sealed records whose headers have not yet persisted, in seal
+     * order (capacity kept across updates). */
+    std::vector<OpenRecord *> sealing;
     /**
      * Lines already logged by the running update. An undo log needs
      * exactly one pre-image per line per update (recovery applies
@@ -81,11 +102,12 @@ struct AusState
      * only reclaimed at commit, the overflow interrupt can never be
      * satisfied: the machine livelocks.
      */
-    std::unordered_set<Addr> loggedLines;
+    AddrSet loggedLines;
     /** Outstanding log (data or header) writes for this AUS. */
     std::uint32_t outstandingWrites = 0;
-    /** Callbacks waiting for outstandingWrites to hit zero. */
-    std::vector<std::function<void()>> quiesceWaiters;
+    /** A truncation waiting for outstandingWrites to hit zero (null
+     * when none). */
+    TruncateCallback truncDone;
 };
 
 } // namespace atomsim

@@ -51,6 +51,37 @@ LogM::beginUpdate(std::uint32_t aus)
     st.loggedLines.clear();
 }
 
+OpenRecord *
+LogM::acquireRecord()
+{
+    OpenRecord *rec = _recordPool.acquire();
+    rec->count = 0;
+    rec->pendingData = 0;
+    rec->sealed = false;
+    rec->headerIssued = false;
+    return rec;
+}
+
+void
+LogM::releaseRecord(OpenRecord *rec)
+{
+    for (PersistAck *a = rec->acks.take(); a;) {
+        PersistAck *next = a->next;
+        a->cb = nullptr;
+        _ackPool.release(a);
+        a = next;
+    }
+    _recordPool.release(rec);
+}
+
+void
+LogM::appendAck(OpenRecord *rec, LogAckCallback ack)
+{
+    PersistAck *a = _ackPool.acquire();
+    a->cb = std::move(ack);
+    rec->acks.push(a);
+}
+
 void
 LogM::lock(Addr line_addr)
 {
@@ -60,45 +91,48 @@ LogM::lock(Addr line_addr)
 void
 LogM::unlock(Addr line_addr)
 {
-    auto it = _locks.find(lineAlign(line_addr));
-    panic_if(it == _locks.end() || it->second.count == 0,
+    const Addr line = lineAlign(line_addr);
+    LockState *ls = _locks.find(line);
+    panic_if(!ls || ls->count == 0,
              "unlock of a line that is not locked");
-    if (--it->second.count == 0) {
-        auto waiters = std::move(it->second.waiters);
-        _locks.erase(it);
-        for (auto &w : waiters)
-            w();
+    if (--ls->count == 0) {
+        UnlockWaiter *w = ls->waiters.take();
+        _locks.erase(line);
+        while (w) {
+            UnlockWaiter *next = w->next;
+            UnlockCallback cb = std::move(w->cb);
+            _unlockPool.release(w);
+            cb();
+            w = next;
+        }
     }
 }
 
 bool
 LogM::lineLocked(Addr line_addr) const
 {
-    auto it = _locks.find(lineAlign(line_addr));
-    return it != _locks.end() && it->second.count > 0;
+    const LockState *ls = _locks.find(lineAlign(line_addr));
+    return ls && ls->count > 0;
 }
 
 bool
 LogM::tryAcquire(Addr line_addr, UnlockCallback on_unlock)
 {
     const Addr line = lineAlign(line_addr);
-    auto it = _locks.find(line);
-    if (it == _locks.end() || it->second.count == 0)
+    LockState *ls = _locks.find(line);
+    if (!ls || ls->count == 0)
         return true;
 
     // The data write matched a pending record header: expedite the
     // header persist by sealing any open record holding this line.
-    it->second.waiters.push_back(std::move(on_unlock));
+    UnlockWaiter *w = _unlockPool.acquire();
+    w->cb = std::move(on_unlock);
+    ls->waiters.push(w);
     for (std::uint32_t a = 0; a < _aus.size(); ++a) {
-        OpenRecord *open = _aus[a].open.get();
-        if (open && !open->sealed) {
-            for (Addr e : open->entries) {
-                if (e == line) {
-                    _statForcedSeals.inc();
-                    sealOpen(a);
-                    break;
-                }
-            }
+        OpenRecord *open = _aus[a].open;
+        if (open && !open->sealed && open->holds(line)) {
+            _statForcedSeals.inc();
+            sealOpen(a);
         }
     }
     return false;
@@ -111,9 +145,9 @@ LogM::withOpenRecord(std::uint32_t aus, ReadyCallback ready)
     panic_if(!st.active, "log entry for inactive AUS %u", aus);
 
     if (st.open && !st.open->sealed &&
-        st.open->entries.size() <
-            std::min<std::size_t>(_cfg.recordEntries,
-                                  LogRecordHeader::kMaxEntries)) {
+        st.open->count < std::min<std::size_t>(
+                             _cfg.recordEntries,
+                             LogRecordHeader::kMaxEntries)) {
         ready();
         return;
     }
@@ -155,11 +189,11 @@ LogM::withOpenRecord(std::uint32_t aus, ReadyCallback ready)
         }
     }
 
-    auto rec = std::make_unique<OpenRecord>();
+    OpenRecord *rec = acquireRecord();
     rec->base = _amap.recordBase(_mc, st.currentBucket, st.currentRecord);
     rec->seq = st.nextSeq++;
     ++st.currentRecord;
-    st.open = std::move(rec);
+    st.open = rec;
     _statRecords.inc();
     ready();
 }
@@ -183,7 +217,7 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
     {
         AusState &st = _aus[aus];
         panic_if(!st.active, "log entry for inactive AUS %u", aus);
-        if (st.loggedLines.count(line)) {
+        if (!st.loggedLines.insert(line)) {
             _statDupEntries.inc();
             if (!ack)
                 return;
@@ -192,41 +226,31 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
                 // If the covering record's header has not persisted
                 // yet, ride its persist; otherwise the entry is
                 // already durable and only the address match costs.
-                OpenRecord *cover = nullptr;
-                if (st.open) {
-                    for (Addr e : st.open->entries)
-                        if (e == line)
-                            cover = st.open.get();
-                }
-                if (!cover) {
-                    for (auto &sealing : st.sealing) {
-                        for (Addr e : sealing->entries)
-                            if (e == line)
-                                cover = sealing.get();
-                        if (cover)
-                            break;
-                    }
+                OpenRecord *cover =
+                    st.open && st.open->holds(line) ? st.open : nullptr;
+                for (std::size_t i = 0; !cover && i < st.sealing.size();
+                     ++i) {
+                    if (st.sealing[i]->holds(line))
+                        cover = st.sealing[i];
                 }
                 if (cover) {
-                    cover->persistAcks.push_back(std::move(ack));
+                    appendAck(cover, std::move(ack));
                     return;
                 }
             }
             _eq.postIn(_cfg.mcAddrMatchLatency, std::move(ack));
             return;
         }
-        st.loggedLines.insert(line);
     }
 
     withOpenRecord(aus, [this, aus, line, old_value, posted,
                          ack = std::move(ack)]() mutable {
         AusState &st = _aus[aus];
-        OpenRecord *rec = st.open.get();
+        OpenRecord *rec = st.open;
         _statEntries.inc();
 
-        const std::uint32_t slot =
-            std::uint32_t(rec->entries.size());
-        rec->entries.push_back(line);
+        const std::uint32_t slot = rec->count;
+        rec->entries[rec->count++] = line;
         const Addr entry_addr = rec->base + Addr(slot + 1) * kLineBytes;
 
         // The line is "locked" (its address now sits in the record
@@ -241,11 +265,11 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
             AusState &s = _aus[aus];
             OpenRecord *r = nullptr;
             if (s.open && s.open->base == rec_base) {
-                r = s.open.get();
+                r = s.open;
             } else {
-                for (auto &sealing : s.sealing) {
+                for (OpenRecord *sealing : s.sealing) {
                     if (sealing->base == rec_base) {
-                        r = sealing.get();
+                        r = sealing;
                         break;
                     }
                 }
@@ -255,12 +279,7 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
                 --r->pendingData;
                 maybeIssueHeader(aus, r);
             }
-            if (--s.outstandingWrites == 0) {
-                auto waiters = std::move(s.quiesceWaiters);
-                s.quiesceWaiters.clear();
-                for (auto &w : waiters)
-                    w();
-            }
+            logWriteDone(aus);
         });
 
         if (posted) {
@@ -273,16 +292,15 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
         } else if (ack) {
             // BASE: the ack waits until the entry is durable, i.e.
             // the covering record header has persisted.
-            rec->persistAcks.push_back(std::move(ack));
+            appendAck(rec, std::move(ack));
         }
 
         // LEC off (or BASE): one entry per record -> seal immediately,
         // costing 2 NVM writes per entry (Section IV-C's motivation).
         const bool lec = _cfg.enableLec && posted;
-        if (!lec || rec->entries.size() >=
-                        std::min<std::size_t>(
-                            _cfg.recordEntries,
-                            LogRecordHeader::kMaxEntries)) {
+        if (!lec || rec->count >= std::min<std::size_t>(
+                                      _cfg.recordEntries,
+                                      LogRecordHeader::kMaxEntries)) {
             sealOpen(aus);
         }
     });
@@ -292,12 +310,13 @@ void
 LogM::sealOpen(std::uint32_t aus)
 {
     AusState &st = _aus[aus];
-    OpenRecord *rec = st.open.get();
+    OpenRecord *rec = st.open;
     if (!rec || rec->sealed)
         return;
     rec->sealed = true;
-    st.sealing.push_back(std::move(st.open));
-    maybeIssueHeader(aus, st.sealing.back().get());
+    st.sealing.push_back(rec);
+    st.open = nullptr;
+    maybeIssueHeader(aus, rec);
 }
 
 void
@@ -311,9 +330,9 @@ LogM::maybeIssueHeader(std::uint32_t aus, OpenRecord *rec)
 
     LogRecordHeader hdr;
     hdr.ausId = std::uint8_t(aus);
-    hdr.count = std::uint8_t(rec->entries.size());
+    hdr.count = std::uint8_t(rec->count);
     hdr.seq = rec->seq;
-    for (std::size_t i = 0; i < rec->entries.size(); ++i)
+    for (std::uint32_t i = 0; i < rec->count; ++i)
         hdr.addrs[i] = rec->entries[i];
 
     AusState &st = _aus[aus];
@@ -322,14 +341,16 @@ LogM::maybeIssueHeader(std::uint32_t aus, OpenRecord *rec)
     _ctrl.writeLine(base, hdr.toLine(), WriteKind::LogHeader,
                     [this, aus, base] {
         onHeaderDurable(aus, base);
-        AusState &s = _aus[aus];
-        if (--s.outstandingWrites == 0) {
-            auto waiters = std::move(s.quiesceWaiters);
-            s.quiesceWaiters.clear();
-            for (auto &w : waiters)
-                w();
-        }
+        logWriteDone(aus);
     });
+}
+
+void
+LogM::logWriteDone(std::uint32_t aus)
+{
+    AusState &s = _aus[aus];
+    if (--s.outstandingWrites == 0 && s.truncDone)
+        finishTruncate(aus);
 }
 
 void
@@ -337,16 +358,23 @@ LogM::onHeaderDurable(std::uint32_t aus, Addr record_base)
 {
     AusState &st = _aus[aus];
     for (auto it = st.sealing.begin(); it != st.sealing.end(); ++it) {
-        if ((*it)->base != record_base)
+        OpenRecord *rec = *it;
+        if (rec->base != record_base)
             continue;
-        std::unique_ptr<OpenRecord> rec = std::move(*it);
         st.sealing.erase(it);
         // Unlock every line in the record: in-place writes may now
         // reach NVM (Invariant 2 satisfied for these lines).
-        for (Addr line : rec->entries)
-            unlock(line);
-        for (auto &ack : rec->persistAcks)
+        for (std::uint32_t i = 0; i < rec->count; ++i)
+            unlock(rec->entries[i]);
+        PersistAck *a = rec->acks.take();
+        while (a) {
+            PersistAck *next = a->next;
+            LogAckCallback ack = std::move(a->cb);
+            _ackPool.release(a);
             ack();
+            a = next;
+        }
+        releaseRecord(rec);
         return;
     }
     panic("header durable for unknown record at %llx",
@@ -368,68 +396,70 @@ LogM::sourceLogFill(CoreId core, Addr addr, const Line &old_value)
 }
 
 void
-LogM::truncate(std::uint32_t aus, std::function<void()> done)
+LogM::truncate(std::uint32_t aus, TruncateCallback done)
 {
     AusState &st = _aus[aus];
     panic_if(!st.active, "truncate of inactive AUS %u", aus);
+    panic_if(bool(st.truncDone), "overlapping truncates of AUS %u", aus);
+    st.truncDone = std::move(done);
+    if (st.outstandingWrites == 0)
+        finishTruncate(aus);
+}
 
-    auto finish = [this, aus, done = std::move(done)]() mutable {
-        AusState &s = _aus[aus];
-        // Any still-open record's entries exist only in the header
-        // register; clearing the register discards them. Their locks
-        // must lift or future data writes would block forever.
-        if (s.open) {
-            for (Addr line : s.open->entries)
-                unlock(line);
-            s.open.reset();
-        }
-        panic_if(!s.sealing.empty(),
-                 "truncate with unpersisted sealed records");
-
-        // Flash tier: snapshot this update's freed log buckets and
-        // touched data pages *before* the bucket registers clear. The
-        // freed buckets must abandon any in-flight destage (their
-        // records are dead; recovery's sequence window already rejects
-        // them) and the data pages feed the cold-page LRU.
-        DestageEngine *eng = _ctrl.destageEngine();
-        std::vector<Addr> data_pages;
-        std::vector<Addr> log_pages;
-        if (eng) {
-            data_pages.reserve(s.loggedLines.size());
-            for (Addr line : s.loggedLines)
-                data_pages.push_back(line & ~Addr(kPageBytes - 1));
-            std::sort(data_pages.begin(), data_pages.end());
-            data_pages.erase(
-                std::unique(data_pages.begin(), data_pages.end()),
-                data_pages.end());
-            _buckets.vectorOf(aus).forEachSet([&](std::uint32_t b) {
-                log_pages.push_back(_amap.bucketBase(_mc, b));
-            });
-        }
-
-        _buckets.truncate(aus);
-        _statTruncations.inc();
-        s.loggedLines.clear();
-        s.active = false;
-        s.currentBucket = kNoBucket;
-        s.currentRecord = 0;
-        s.txnStartSeq = s.nextSeq;
-        if (eng) {
-            // Under the balanced policy truncation completion -- and
-            // with it the commit ack -- waits until the un-destaged
-            // backlog is back under its bound.
-            eng->onTruncate(std::move(data_pages),
-                            std::move(log_pages), std::move(done));
-        } else {
-            done();
-        }
-    };
-
-    if (st.outstandingWrites == 0) {
-        finish();
-        return;
+void
+LogM::finishTruncate(std::uint32_t aus)
+{
+    AusState &s = _aus[aus];
+    TruncateCallback done = std::move(s.truncDone);
+    // Any still-open record's entries exist only in the header
+    // register; clearing the register discards them. Their locks
+    // must lift or future data writes would block forever.
+    if (OpenRecord *open = s.open) {
+        s.open = nullptr;
+        for (std::uint32_t i = 0; i < open->count; ++i)
+            unlock(open->entries[i]);
+        releaseRecord(open);
     }
-    st.quiesceWaiters.push_back(std::move(finish));
+    panic_if(!s.sealing.empty(),
+             "truncate with unpersisted sealed records");
+
+    // Flash tier: snapshot this update's freed log buckets and
+    // touched data pages *before* the bucket registers clear. The
+    // freed buckets must abandon any in-flight destage (their
+    // records are dead; recovery's sequence window already rejects
+    // them) and the data pages feed the cold-page LRU. The logged-
+    // line set is unordered, so its pages are sorted.
+    DestageEngine *eng = _ctrl.destageEngine();
+    if (eng) {
+        _truncDataPages.clear();
+        s.loggedLines.forEach([this](Addr line, NoValue &) {
+            _truncDataPages.push_back(line & ~Addr(kPageBytes - 1));
+        });
+        std::sort(_truncDataPages.begin(), _truncDataPages.end());
+        _truncDataPages.erase(
+            std::unique(_truncDataPages.begin(), _truncDataPages.end()),
+            _truncDataPages.end());
+        _truncLogPages.clear();
+        _buckets.vectorOf(aus).forEachSet([this](std::uint32_t b) {
+            _truncLogPages.push_back(_amap.bucketBase(_mc, b));
+        });
+    }
+
+    _buckets.truncate(aus);
+    _statTruncations.inc();
+    s.loggedLines.clear();
+    s.active = false;
+    s.currentBucket = kNoBucket;
+    s.currentRecord = 0;
+    s.txnStartSeq = s.nextSeq;
+    if (eng) {
+        // Under the balanced policy truncation completion -- and
+        // with it the commit ack -- waits until the un-destaged
+        // backlog is back under its bound.
+        eng->onTruncate(_truncDataPages, _truncLogPages, std::move(done));
+    } else {
+        done();
+    }
 }
 
 std::uint32_t

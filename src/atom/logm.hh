@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "atom/aus.hh"
@@ -34,7 +33,9 @@
 #include "mem/memory_controller.hh"
 #include "os/log_space.hh"
 #include "sim/config.hh"
+#include "sim/addr_table.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -62,7 +63,7 @@ class LogM : public WriteGate, public SourceLogger
      * outstanding log writes to quiesce, then clears the bucket bit
      * vector (single-cycle register operation) and frees the buckets.
      */
-    void truncate(std::uint32_t aus, std::function<void()> done);
+    void truncate(std::uint32_t aus, TruncateCallback done);
 
     // --- Logging --------------------------------------------------------
 
@@ -126,6 +127,19 @@ class LogM : public WriteGate, public SourceLogger
 
     void onHeaderDurable(std::uint32_t aus, Addr record_base);
 
+    /** One of @p aus's log writes is durable: fire a waiting
+     * truncation once none remain. */
+    void logWriteDone(std::uint32_t aus);
+
+    /** Truncation body, once @p aus's log writes have quiesced. */
+    void finishTruncate(std::uint32_t aus);
+
+    /** A fresh record register from the pool. */
+    OpenRecord *acquireRecord();
+    /** Return @p rec (its acks already fired or dropped). */
+    void releaseRecord(OpenRecord *rec);
+    void appendAck(OpenRecord *rec, LogAckCallback ack);
+
     void lock(Addr line_addr);
     void unlock(Addr line_addr);
 
@@ -141,14 +155,29 @@ class LogM : public WriteGate, public SourceLogger
     BucketTable _buckets;
     std::vector<AusState> _aus;
 
+    /** A data write parked on a locked line (pooled). */
+    struct UnlockWaiter
+    {
+        UnlockWaiter *next = nullptr;
+        UnlockCallback cb;
+    };
+
     /** Lock table: line -> (count, waiters). Implements the record-
      * header address match of Section IV-C. */
     struct LockState
     {
         std::uint32_t count = 0;
-        std::vector<UnlockCallback> waiters;
+        NodeFifo<UnlockWaiter> waiters;
     };
-    std::unordered_map<Addr, LockState> _locks;
+    AddrTable<LockState> _locks;
+
+    FreeListPool<OpenRecord> _recordPool;
+    FreeListPool<PersistAck> _ackPool;
+    FreeListPool<UnlockWaiter> _unlockPool;
+    /** Truncation scratch (capacity kept): the update's data pages and
+     * freed log buckets, handed to the destage engine. */
+    std::vector<Addr> _truncDataPages;
+    std::vector<Addr> _truncLogPages;
 
     Counter &_statEntries;
     Counter &_statRecords;

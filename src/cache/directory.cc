@@ -28,8 +28,8 @@ void
 Directory::acquire(Addr line_addr, Txn txn)
 {
     line_addr = lineAlign(line_addr);
-    auto [it, inserted] = _ctl.try_emplace(line_addr);
-    LineCtl &ctl = it->second;
+    auto [slot, inserted] = _ctl.tryEmplace(line_addr);
+    LineCtl &ctl = *slot;
     if (inserted && _liveHw && _ctl.size() > _liveHwSeen) {
         _liveHwSeen = _ctl.size();
         _liveHw->set(_liveHwSeen);
@@ -54,10 +54,9 @@ void
 Directory::release(Addr line_addr)
 {
     line_addr = lineAlign(line_addr);
-    auto it = _ctl.find(line_addr);
-    panic_if(it == _ctl.end() || !it->second.busy,
-             "release of a line that is not busy");
-    auto &ctl = it->second;
+    LineCtl *slot = _ctl.find(line_addr);
+    panic_if(!slot || !slot->busy, "release of a line that is not busy");
+    LineCtl &ctl = *slot;
     if (ctl.head) {
         Waiter *w = ctl.head;
         ctl.head = w->next;
@@ -76,29 +75,29 @@ Directory::release(Addr line_addr)
     } else {
         if (_evictions)
             _evictions->inc();
-        _ctl.erase(it);
+        _ctl.erase(line_addr);
     }
 }
 
 bool
 Directory::busy(Addr line_addr) const
 {
-    auto it = _ctl.find(lineAlign(line_addr));
-    return it != _ctl.end() && it->second.busy;
+    const LineCtl *ctl = _ctl.find(lineAlign(line_addr));
+    return ctl && ctl->busy;
 }
 
 void
 Directory::clear()
 {
     _entries.clear();
-    for (auto &kv : _ctl) {
-        Waiter *w = kv.second.head;
+    _ctl.forEach([this](Addr, LineCtl &ctl) {
+        Waiter *w = ctl.head;
         while (w) {
             Waiter *next = w->next;
             releaseWaiter(w);
             w = next;
         }
-    }
+    });
     _ctl.clear();
     _idleCtl = 0;
 }

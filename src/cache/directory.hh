@@ -21,9 +21,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/addr_table.hh"
 #include "sim/callback.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
@@ -189,7 +189,9 @@ class Directory
     /** Current live control blocks (tests). */
     std::size_t liveCtl() const { return _ctl.size(); }
 
-    /** Directory entry for @p line_addr (created on demand). */
+    /** Directory entry for @p line_addr (created on demand). The
+     * reference is valid until the next entry() or erase() (the
+     * entries live in a flat table). */
     DirEntry &entry(Addr line_addr);
 
     /** Drop the entry (line evicted from L2). */
@@ -226,10 +228,10 @@ class Directory
 
     void releaseWaiter(Waiter *w);
 
-    std::unordered_map<Addr, DirEntry> _entries;
+    AddrTable<DirEntry> _entries;
     /** Cached across acquire/release (busy=false when idle) so hot
-     * lines don't churn map nodes; bounded by _idleCap. */
-    std::unordered_map<Addr, LineCtl> _ctl;
+     * lines skip the table insert; bounded by _idleCap. */
+    AddrTable<LineCtl> _ctl;
     std::size_t _idleCtl = 0;
     std::size_t _idleCap = kMaxIdleCtl;
     Counter *_liveHw = nullptr;  //!< optional occupancy high-water

@@ -493,12 +493,16 @@ L1Cache::storeLogged(PendingStore *ps)
     applyStore(ps, true);
     // The store has applied: run any coherence action
     // (forward/invalidation) deferred by the pin.
-    auto it = _unpinWaiters.find(line);
-    if (it != _unpinWaiters.end()) {
-        auto waiters = std::move(it->second);
-        _unpinWaiters.erase(it);
-        for (auto &w : waiters)
-            w();
+    if (NodeFifo<UnpinWaiter> *waiters = _unpinWaiters.find(line)) {
+        UnpinWaiter *w = waiters->take();
+        _unpinWaiters.erase(line);
+        while (w) {
+            UnpinWaiter *next = w->next;
+            Callback action = std::move(w->action);
+            _unpinPool.release(w);
+            action();
+            w = next;
+        }
     }
 }
 
@@ -595,7 +599,9 @@ L1Cache::whenUnpinned(Addr addr, Callback action)
     const Addr line = lineAlign(addr);
     CacheLineState *frame = _array.find(line);
     if (frame && frame->valid && frame->pinned) {
-        _unpinWaiters[line].push_back(std::move(action));
+        UnpinWaiter *w = _unpinPool.acquire();
+        w->action = std::move(action);
+        _unpinWaiters[line].push(w);
         return;
     }
     action();
@@ -662,6 +668,14 @@ L1Cache::powerFail()
     }
     _wbTail = nullptr;
     _wbCount = 0;
+    _unpinWaiters.forEach([this](Addr, NodeFifo<UnpinWaiter> &waiters) {
+        for (UnpinWaiter *w = waiters.take(); w;) {
+            UnpinWaiter *next = w->next;
+            w->action = nullptr;
+            _unpinPool.release(w);
+            w = next;
+        }
+    });
     _unpinWaiters.clear();
 }
 

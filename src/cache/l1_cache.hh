@@ -43,6 +43,7 @@
 #include "cache/mshr.hh"
 #include "mem/address_map.hh"
 #include "net/mesh.hh"
+#include "sim/addr_table.hh"
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -305,8 +306,15 @@ class L1Cache : public MeshSink
     CacheArray _array;
     MshrTable _mshrs;
     StoreLogger *_logger = nullptr;
+    /** A deferred coherence action on a pinned line (pooled). */
+    struct UnpinWaiter
+    {
+        UnpinWaiter *next = nullptr;
+        Callback action;
+    };
     /** Deferred coherence actions on pinned lines (see whenUnpinned). */
-    std::unordered_map<Addr, std::vector<Callback>> _unpinWaiters;
+    AddrTable<NodeFifo<UnpinWaiter>> _unpinWaiters;
+    FreeListPool<UnpinWaiter> _unpinPool;
 
     FreeListPool<PendingStore> _storePool;
     PendingStore *_storeActive = nullptr;  //!< in-flight stores

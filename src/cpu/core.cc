@@ -48,14 +48,17 @@ Core::nextTransaction()
 void
 Core::fetchTransaction()
 {
-    _source->fetchNext(_id, [this](std::optional<Transaction> txn) {
-        _txn = std::move(txn);
-        if (!_txn) {
+    _source->fetchNext(_id, _txn, [this](bool fetched) {
+        if (!fetched) {
             if (_regionSer)
                 _regionSer->release();
             _ctrlLB = kTickNever;
             // Drain outstanding stores, then go idle.
-            _sq.whenEmpty([this] { _done = true; });
+            _sq.whenEmpty([this] {
+                _done = true;
+                if (_tally)
+                    ++_tally->idle;
+            });
             return;
         }
         _txnStart = _eq.now();
@@ -66,7 +69,7 @@ Core::fetchTransaction()
 void
 Core::updateCtrlBound(std::size_t idx)
 {
-    const auto &ops = _txn->ops;
+    const auto &ops = _txn.ops;
     if (idx == 0 || idx > _ctrlNextIdx) {
         std::size_t j = idx;
         while (j < ops.size() && ops[j].kind != OpKind::AtomicBegin &&
@@ -84,9 +87,9 @@ Core::updateCtrlBound(std::size_t idx)
 void
 Core::execOp(std::size_t idx)
 {
-    if (idx >= _txn->ops.size()) {
+    if (idx >= _txn.ops.size()) {
         if (_observer)
-            _observer(_id, *_txn, _txnStart, _eq.now());
+            _observer(_id, _txn, _txnStart, _eq.now());
         _ctrlLB = _eq.now();
         if (_regionSer)
             _regionSer->release();
@@ -95,7 +98,7 @@ Core::execOp(std::size_t idx)
     }
     updateCtrlBound(idx);
     _statOps.inc();
-    const MemOp &op = _txn->ops[idx];
+    const MemOp &op = _txn.ops[idx];
 
     switch (op.kind) {
       case OpKind::Compute:
@@ -119,12 +122,10 @@ Core::execOp(std::size_t idx)
         return;
       }
 
-      case OpKind::Store: {
-        std::vector<std::uint8_t> payload = _txn->ops[idx].payload;
-        _sq.push(op.addr, std::move(payload),
+      case OpKind::Store:
+        _sq.push(op.addr, op.payload.data(), op.size,
                  [this, idx] { opDone(idx); });
         return;
-      }
 
       case OpKind::AtomicBegin:
         _hooks->atomicBegin(_id, [this, idx] { opDone(idx); });
@@ -134,8 +135,10 @@ Core::execOp(std::size_t idx)
         // All of the region's stores must retire before the commit
         // protocol runs (the flushes must see the final values).
         _sq.whenEmpty([this, idx] {
-            _hooks->atomicEnd(_id, _txn->modifiedLines, [this, idx] {
+            _hooks->atomicEnd(_id, _txn.modifiedLines, [this, idx] {
                 _statCommitted.inc();
+                if (_tally)
+                    ++_tally->committed;
                 opDone(idx);
             });
         });

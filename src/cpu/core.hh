@@ -13,15 +13,16 @@
 #ifndef ATOMSIM_CPU_CORE_HH
 #define ATOMSIM_CPU_CORE_HH
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
 
 #include "cpu/mem_op.hh"
 #include "cpu/store_queue.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -29,28 +30,38 @@ namespace atomsim
 
 class L1Cache;
 
-/** Supplies transactions to a core at dispatch time. */
+/**
+ * Supplies transactions to a core at dispatch time. Each core owns one
+ * Transaction buffer and hands it to every fetch, so a source refills
+ * the same op and modified-line vectors transaction after transaction
+ * (their capacity is kept; steady-state generation allocates nothing).
+ */
 class TransactionSource
 {
   public:
-    /** Continuation receiving the fetched transaction (or nullopt). */
-    using FetchDone = std::function<void(std::optional<Transaction>)>;
+    /** Continuation of a fetch: true when the core's buffer holds the
+     * next transaction, false when the source is exhausted. */
+    using FetchDone = InplaceFunction<void(bool), 16>;
 
     virtual ~TransactionSource() = default;
 
-    /** Next transaction for @p core; std::nullopt when done. */
-    virtual std::optional<Transaction> next(CoreId core) = 0;
+    /**
+     * Fill @p txn (its previous contents are discarded) with the next
+     * transaction for @p core; false when done.
+     */
+    virtual bool next(CoreId core, Transaction &txn) = 0;
 
     /**
-     * Asynchronous fetch: @p done receives the next transaction.
-     * Default: inline. Sharded runners override this to route the
-     * (functional, shared-state) workload dispatch through the
-     * barrier control plane so per-tile domains never race on it.
+     * Asynchronous fetch into @p txn: @p done receives next()'s
+     * result. Default: inline. Sharded runners override this to route
+     * the (functional, shared-state) workload dispatch through the
+     * barrier control plane so per-tile domains never race on it; the
+     * core does not touch @p txn until @p done runs.
      */
     virtual void
-    fetchNext(CoreId core, FetchDone done)
+    fetchNext(CoreId core, Transaction &txn, FetchDone done)
     {
-        done(next(core));
+        done(next(core, txn));
     }
 };
 
@@ -61,13 +72,17 @@ class TransactionSource
 class DesignHooks
 {
   public:
+    /** Hook completion (the core's capture: a pointer and an op
+     * index). */
+    using Done = InplaceCallback<32>;
+
     virtual ~DesignHooks() = default;
 
     /**
      * Atomic_Begin: acquire an AUS (stalling on structural overflow)
      * and arm logging for @p core.
      */
-    virtual void atomicBegin(CoreId core, std::function<void()> done) = 0;
+    virtual void atomicBegin(CoreId core, Done done) = 0;
 
     /**
      * Atomic_End commit protocol: for undo designs, durably flush
@@ -77,7 +92,7 @@ class DesignHooks
      */
     virtual void atomicEnd(CoreId core,
                            const std::vector<Addr> &modified_lines,
-                           std::function<void()> done) = 0;
+                           Done done) = 0;
 };
 
 /**
@@ -105,17 +120,21 @@ class DesignHooks
 class RegionSerializer
 {
   public:
+    using Granted = InplaceCallback<16>;
+
     /** Call @p granted once the ticket is exclusively held. Runs
      * inline when the ticket is free. */
     void
-    acquire(std::function<void()> granted)
+    acquire(Granted granted)
     {
         if (!_held) {
             _held = true;
             granted();
             return;
         }
-        _waiters.push_back(std::move(granted));
+        Waiter *w = _pool.acquire();
+        w->granted = std::move(granted);
+        _waiters.push(w);
     }
 
     /** Hand the ticket to the oldest waiter (inline), or free it. */
@@ -126,14 +145,34 @@ class RegionSerializer
             _held = false;
             return;
         }
-        auto granted = std::move(_waiters.front());
-        _waiters.pop_front();
+        Waiter *w = _waiters.pop();
+        Granted granted = std::move(w->granted);
+        _pool.release(w);
         granted();
     }
 
   private:
+    struct Waiter
+    {
+        Waiter *next = nullptr;
+        Granted granted;
+    };
+
     bool _held = false;
-    std::deque<std::function<void()>> _waiters;
+    FreeListPool<Waiter> _pool;
+    NodeFifo<Waiter> _waiters;
+};
+
+/**
+ * Machine-wide core progress, bumped by the cores themselves so a run
+ * loop can test "every core idle" or "N commits" in O(1) instead of
+ * scanning the cores before every event. Atomic because sharded runs
+ * bump it from per-domain worker threads.
+ */
+struct CoreTally
+{
+    std::atomic<std::uint32_t> idle{0};       //!< cores gone idle
+    std::atomic<std::uint64_t> committed{0};  //!< transactions committed
 };
 
 /** One simulated core. */
@@ -161,6 +200,9 @@ class Core
      * shared ticket (see RegionSerializer; nullptr = default ungated
      * timing). */
     void setRegionSerializer(RegionSerializer *s) { _regionSer = s; }
+    /** Progress tally this core bumps on idle and on commit (nullptr:
+     * none). */
+    void setTally(CoreTally *t) { _tally = t; }
 
     /** Begin pulling and executing transactions. */
     void start();
@@ -203,8 +245,10 @@ class Core
     TransactionSource *_source = nullptr;
     DesignHooks *_hooks = nullptr;
     RegionSerializer *_regionSer = nullptr;
+    CoreTally *_tally = nullptr;
 
-    std::optional<Transaction> _txn;
+    /** The running transaction: one buffer, refilled by every fetch. */
+    Transaction _txn;
     bool _done = false;
     TxnObserver _observer;
     Tick _txnStart = 0;  //!< dispatch tick of the running transaction

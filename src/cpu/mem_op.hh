@@ -11,9 +11,12 @@
 #ifndef ATOMSIM_CPU_MEM_OP_HH
 #define ATOMSIM_CPU_MEM_OP_HH
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -34,11 +37,15 @@ const char *opName(OpKind kind);
 /** One micro-op in a transaction's trace. */
 struct MemOp
 {
+    /** Largest store a single op carries (one SQ word). */
+    static constexpr std::uint32_t kMaxStoreBytes = 8;
+
     OpKind kind;
     Addr addr = 0;
     std::uint32_t size = 0;
-    Cycles cycles = 0;                  //!< Compute only
-    std::vector<std::uint8_t> payload;  //!< Store only
+    Cycles cycles = 0;  //!< Compute only
+    /** Store only: the first `size` bytes are the stored data. */
+    std::array<std::uint8_t, kMaxStoreBytes> payload{};
 
     static MemOp
     load(Addr a, std::uint32_t sz)
@@ -50,6 +57,7 @@ struct MemOp
         return op;
     }
 
+    /** @p sz must be at most kMaxStoreBytes. */
     static MemOp
     store(Addr a, const void *bytes, std::uint32_t sz)
     {
@@ -57,8 +65,8 @@ struct MemOp
         op.kind = OpKind::Store;
         op.addr = a;
         op.size = sz;
-        const auto *p = static_cast<const std::uint8_t *>(bytes);
-        op.payload.assign(p, p + sz);
+        panic_if(sz > kMaxStoreBytes, "store op of %u bytes", sz);
+        std::memcpy(op.payload.data(), bytes, sz);
         return op;
     }
 

@@ -1,5 +1,7 @@
 #include "cpu/store_queue.hh"
 
+#include <cstring>
+
 #include "cache/l1_cache.hh"
 #include "sim/logging.hh"
 
@@ -14,6 +16,7 @@ StoreQueue::StoreQueue(CoreId core, EventQueue &eq, std::uint32_t entries,
       _entries(entries),
       _drainWidth(std::max<std::uint32_t>(1, drain_width)),
       _l1(l1),
+      _ring(entries),
       _statFullCycles(
           stats.counter("core" + std::to_string(core), "sq_full_cycles")),
       _statRetired(
@@ -22,23 +25,29 @@ StoreQueue::StoreQueue(CoreId core, EventQueue &eq, std::uint32_t entries,
 }
 
 void
-StoreQueue::push(Addr addr, std::vector<std::uint8_t> payload,
+StoreQueue::push(Addr addr, const std::uint8_t *bytes, std::uint32_t size,
                  Callback accepted)
 {
-    if (occupancy() >= _entries) {
+    panic_if(size > MemOp::kMaxStoreBytes,
+             "SQ store of %u bytes exceeds one entry", size);
+    if (_count >= _entries) {
         // SQ full: the pipeline stalls until retirement frees an entry.
-        _waiters.emplace_back(
-            _eq.now(),
-            [this, addr, payload = std::move(payload),
-             accepted = std::move(accepted)]() mutable {
-                push(addr, std::move(payload), std::move(accepted));
-            });
+        FullWaiter *w = _fullPool.acquire();
+        w->since = _eq.now();
+        w->addr = addr;
+        std::memcpy(w->payload.data(), bytes, size);
+        w->size = std::uint8_t(size);
+        w->accepted = std::move(accepted);
+        _full.push(w);
         return;
     }
-    auto entry = std::make_shared<Entry>();
-    entry->addr = addr;
-    entry->payload = std::move(payload);
-    _queue.push_back(entry);
+    Entry &entry = _ring[slotAt(_count)];
+    entry.addr = addr;
+    std::memcpy(entry.payload.data(), bytes, size);
+    entry.size = std::uint8_t(size);
+    entry.issued = false;
+    entry.done = false;
+    ++_count;
     accepted();
     pump();
 }
@@ -51,26 +60,26 @@ StoreQueue::pump()
     // issue while an older in-flight store targets the same line:
     // completions are out of order, and same-line stores must apply
     // in program order.
-    for (std::size_t i = 0; i < _queue.size(); ++i) {
-        auto &entry = _queue[i];
+    for (std::uint32_t i = 0; i < _count; ++i) {
+        const std::uint32_t slot = slotAt(i);
+        Entry &entry = _ring[slot];
         if (_issued >= _drainWidth)
             break;
-        if (entry->issued)
+        if (entry.issued)
             continue;
         bool conflict = false;
-        for (std::size_t j = 0; j < i && !conflict; ++j) {
-            conflict = _queue[j]->issued && !_queue[j]->done &&
-                       lineAlign(_queue[j]->addr) ==
-                           lineAlign(entry->addr);
+        for (std::uint32_t j = 0; j < i && !conflict; ++j) {
+            const Entry &older = _ring[slotAt(j)];
+            conflict = older.issued && !older.done &&
+                       lineAlign(older.addr) == lineAlign(entry.addr);
         }
         if (conflict)
             continue;
-        entry->issued = true;
+        entry.issued = true;
         ++_issued;
-        _l1.store(entry->addr, entry->payload.data(),
-                  std::uint32_t(entry->payload.size()),
-                  [this, entry] {
-                      entry->done = true;
+        _l1.store(entry.addr, entry.payload.data(), entry.size,
+                  [this, slot] {
+                      _ring[slot].done = true;
                       --_issued;
                       retireCompleted();
                   });
@@ -80,22 +89,33 @@ StoreQueue::pump()
 void
 StoreQueue::retireCompleted()
 {
-    while (!_queue.empty() && _queue.front()->done) {
-        _queue.pop_front();
+    while (_count > 0 && _ring[_head].done) {
+        _ring[_head].issued = false;
+        _ring[_head].done = false;
+        _head = _head + 1 == _entries ? 0 : _head + 1;
+        --_count;
         _statRetired.inc();
-        if (!_waiters.empty()) {
-            auto [since, retry] = std::move(_waiters.front());
-            _waiters.pop_front();
-            _statFullCycles.inc(_eq.now() - since);
-            retry();
+        if (!_full.empty()) {
+            FullWaiter *w = _full.pop();
+            _statFullCycles.inc(_eq.now() - w->since);
+            const Addr addr = w->addr;
+            const Payload payload = w->payload;
+            const std::uint32_t size = w->size;
+            Callback accepted = std::move(w->accepted);
+            _fullPool.release(w);
+            push(addr, payload.data(), size, std::move(accepted));
         }
     }
     pump();
-    if (empty()) {
-        auto drained = std::move(_drainWaiters);
-        _drainWaiters.clear();
-        for (auto &cb : drained)
+    if (empty() && !_drain.empty()) {
+        DrainWaiter *w = _drain.take();
+        while (w) {
+            DrainWaiter *next = w->next;
+            Callback cb = std::move(w->cb);
+            _drainPool.release(w);
             cb();
+            w = next;
+        }
     }
 }
 
@@ -106,15 +126,17 @@ StoreQueue::whenEmpty(Callback cb)
         cb();
         return;
     }
-    _drainWaiters.push_back(std::move(cb));
+    DrainWaiter *w = _drainPool.acquire();
+    w->cb = std::move(cb);
+    _drain.push(w);
 }
 
 bool
 StoreQueue::holdsLine(Addr addr) const
 {
     const Addr line = lineAlign(addr);
-    for (const auto &e : _queue) {
-        if (lineAlign(e->addr) == line)
+    for (std::uint32_t i = 0; i < _count; ++i) {
+        if (lineAlign(_ring[slotAt(i)].addr) == line)
             return true;
     }
     return false;

@@ -35,7 +35,7 @@ AusPool::AusPool(EventQueue &eq, std::uint32_t slots, std::uint32_t cores,
 }
 
 void
-AusPool::acquire(CoreId core, std::function<void(std::uint32_t)> granted)
+AusPool::acquire(CoreId core, Granted granted)
 {
     panic_if(_slotOf[core] >= 0, "core %u already holds an AUS", core);
     for (std::uint32_t s = 0; s < _slotBusy.size(); ++s) {
@@ -50,8 +50,11 @@ AusPool::acquire(CoreId core, std::function<void(std::uint32_t)> granted)
         }
     }
     // Structural overflow: wait for a slot (Section IV-E).
-    _waiters.emplace_back(_eq.now(),
-                          std::make_pair(core, std::move(granted)));
+    Waiter *w = _waiterPool.acquire();
+    w->since = _eq.now();
+    w->core = core;
+    w->granted = std::move(granted);
+    _waiters.push(w);
 }
 
 void
@@ -62,10 +65,11 @@ AusPool::release(CoreId core)
     _slotOf[core] = -1;
 
     if (!_waiters.empty()) {
-        auto [since, waiter] = std::move(_waiters.front());
-        _waiters.pop_front();
-        _statStallCycles.inc(_eq.now() - since);
-        auto [wcore, granted] = std::move(waiter);
+        Waiter *w = _waiters.pop();
+        _statStallCycles.inc(_eq.now() - w->since);
+        const CoreId wcore = w->core;
+        Granted granted = std::move(w->granted);
+        _waiterPool.release(w);
         _slotOf[wcore] = slot;
         _statAcquires.inc();
         if (!_tenantAcquires.empty())
@@ -92,8 +96,7 @@ DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
       _l1s(std::move(l1s)),
       _pool(pool),
       _redo(redo),
-      _commitInFlight(cfg.numCores, false),
-      _pendingBegin(cfg.numCores),
+      _commit(cfg.numCores),
       _statFlushes(stats.counter("design", "commit_flushes")),
       _statCommits(stats.counter("design", "commits")),
       _statStagedAcks(stats.counter("design", "staged_acks"))
@@ -106,8 +109,6 @@ DesignContext::setSharded(std::vector<SimDomain *> domains,
 {
     _domains = std::move(domains);
     _layout = layout;
-    _truncPending.assign(_cfg.numCores, 0);
-    _truncDone.resize(_cfg.numCores);
 }
 
 EventQueue &
@@ -126,7 +127,7 @@ DesignContext::coreQueue(CoreId core)
 }
 
 void
-DesignContext::shardedBegin(CoreId core, std::function<void()> done)
+DesignContext::shardedBegin(CoreId core, Done done)
 {
     _pool.acquire(core, [this, core, done = std::move(done)](
                             std::uint32_t slot) mutable {
@@ -141,12 +142,11 @@ DesignContext::shardedBegin(CoreId core, std::function<void()> done)
 }
 
 void
-DesignContext::shardedTruncate(CoreId core, std::function<void()> done)
+DesignContext::shardedTruncate(CoreId core)
 {
     const int slot = _pool.slotOf(core);
     panic_if(slot < 0, "truncate without an AUS (core %u)", core);
-    _truncPending[core] = std::uint32_t(_logms.size());
-    _truncDone[core] = std::move(done);
+    _commit[core].truncLeft = std::uint32_t(_logms.size());
 
     for (std::uint32_t m = 0; m < _logms.size(); ++m) {
         // Execute each LogM's truncate in its own domain scope: the
@@ -157,19 +157,19 @@ DesignContext::shardedTruncate(CoreId core, std::function<void()> done)
         _logms[m]->truncate(std::uint32_t(slot), [this, core, m] {
             SimDomain::current()->submitControl(
                 core, m, InplaceCallback<64>([this, core] {
-                    if (--_truncPending[core] != 0)
+                    CommitState &c = _commit[core];
+                    if (--c.truncLeft != 0)
                         return;
                     _pool.release(core);
                     countCommit(core);
-                    coreQueue(core).postIn(
-                        1, std::move(_truncDone[core]));
+                    coreQueue(core).postIn(1, std::move(c.done));
                 }));
         });
     }
 }
 
 void
-DesignContext::atomicBegin(CoreId core, std::function<void()> done)
+DesignContext::atomicBegin(CoreId core, Done done)
 {
     switch (_cfg.design) {
       case DesignKind::NonAtomic:
@@ -193,14 +193,14 @@ DesignContext::atomicBegin(CoreId core, std::function<void()> done)
                     }));
             return;
         }
-        if (_commitInFlight[core]) {
+        if (_commit[core].inFlight) {
             // Eventual durability: this core's previous commit was
             // acked from the staging window and its truncation is
             // still running, so the AUS slot is not yet released.
             // Park the begin; it resumes when the truncation lands.
-            panic_if(_pendingBegin[core] != nullptr,
+            panic_if(bool(_commit[core].parkedBegin),
                      "core %u double-parked an atomicBegin", core);
-            _pendingBegin[core] = std::move(done);
+            _commit[core].parkedBegin = std::move(done);
             return;
         }
         _pool.acquire(core, [this, done = std::move(done)](
@@ -217,67 +217,115 @@ DesignContext::atomicBegin(CoreId core, std::function<void()> done)
 }
 
 void
-DesignContext::flushLines(CoreId core, std::vector<Addr> lines,
-                          std::function<void()> done)
+DesignContext::flushLines(CoreId core, const std::vector<Addr> &lines,
+                          Done done)
 {
     if (lines.empty()) {
         done();
         return;
     }
     // Flush with a bounded issue window (the L1 MSHR count), like a
-    // clwb loop with limited outstanding misses. The state is kept
-    // alive by the outstanding flush acks alone (no self-referential
-    // closure), so it is freed when the last ack lands.
-    auto st = std::make_shared<FlushState>();
-    st->lines = std::move(lines);
-    st->done = std::move(done);
-    pumpFlushes(core, st);
+    // clwb loop with limited outstanding misses.
+    CommitState &c = _commit[core];
+    panic_if(c.pending != 0 || bool(c.flushed),
+             "core %u started overlapping commit flushes", core);
+    c.lines.assign(lines.begin(), lines.end());
+    c.next = 0;
+    c.flushed = std::move(done);
+    pumpFlushes(core);
 }
 
 void
-DesignContext::pumpFlushes(CoreId core,
-                           const std::shared_ptr<FlushState> &st)
+DesignContext::pumpFlushes(CoreId core)
 {
-    while (st->next < st->lines.size() && st->pending < _cfg.mshrs) {
-        const Addr line = st->lines[st->next++];
-        ++st->pending;
+    CommitState &c = _commit[core];
+    while (c.next < c.lines.size() && c.pending < _cfg.mshrs) {
+        const Addr line = c.lines[c.next++];
+        ++c.pending;
         _statFlushes.inc();
-        _l1s[core]->flush(line, [this, core, st] {
-            --st->pending;
-            if (st->next < st->lines.size()) {
-                pumpFlushes(core, st);
-            } else if (st->pending == 0) {
-                st->done();
+        _l1s[core]->flush(line, [this, core] {
+            CommitState &cs = _commit[core];
+            --cs.pending;
+            if (cs.next < cs.lines.size()) {
+                pumpFlushes(core);
+            } else if (cs.pending == 0) {
+                Done flushed = std::move(cs.flushed);
+                flushed();
             }
         });
     }
 }
 
 void
-DesignContext::truncateAll(CoreId core, std::function<void()> done)
+DesignContext::truncateAll(CoreId core, Done done)
 {
     const int slot = _pool.slotOf(core);
     panic_if(slot < 0, "truncate without an AUS (core %u)", core);
 
-    auto pending = std::make_shared<std::size_t>(_logms.size());
-    auto finish = std::make_shared<std::function<void()>>(
-        [this, core, done = std::move(done)]() mutable {
-            _pool.release(core);
-            countCommit(core);
-            done();
-        });
-    for (auto &logm : _logms) {
-        logm->truncate(std::uint32_t(slot), [pending, finish] {
-            if (--*pending == 0)
-                (*finish)();
-        });
+    CommitState &c = _commit[core];
+    c.truncLeft = std::uint32_t(_logms.size());
+    c.truncated = std::move(done);
+    for (auto &logm : _logms)
+        logm->truncate(std::uint32_t(slot),
+                       [this, core] { truncateDone(core); });
+}
+
+void
+DesignContext::truncateDone(CoreId core)
+{
+    CommitState &c = _commit[core];
+    if (--c.truncLeft != 0)
+        return;
+    _pool.release(core);
+    countCommit(core);
+    Done truncated = std::move(c.truncated);
+    truncated();
+}
+
+void
+DesignContext::afterFlush(CoreId core)
+{
+    CommitState &c = _commit[core];
+    if (!_domains.empty()) {
+        // Flushes completed on the cache-complex domain; hand the
+        // cross-domain truncate to the barrier leader.
+        SimDomain::current()->submitControl(
+            core, ctrlsub::kTruncate,
+            InplaceCallback<64>([this, core] { shardedTruncate(core); }));
+        return;
     }
+    if (_cfg.durabilityPolicy == DurabilityPolicy::Eventual &&
+        _stagedCommits < _cfg.ssdStagingWindow) {
+        // Eventual durability: ack from the volatile staging window.
+        // Truncation (and with it genuine durability and the AUS
+        // release) continues in the background; a crash before it
+        // lands rolls this commit back, so the recovery-point loss is
+        // bounded by the window size. A full window falls through to
+        // the synchronous path.
+        ++_stagedCommits;
+        if (_stagedCommits > _stagedPeak)
+            _stagedPeak = _stagedCommits;
+        _statStagedAcks.inc();
+        c.inFlight = true;
+        _eq.postIn(1, std::move(c.done));
+        truncateAll(core, [this, core] {
+            --_stagedCommits;
+            CommitState &cs = _commit[core];
+            cs.inFlight = false;
+            if (cs.parkedBegin) {
+                Done parked = std::move(cs.parkedBegin);
+                atomicBegin(core, std::move(parked));
+            }
+        });
+        return;
+    }
+    truncateAll(core, std::move(c.done));
 }
 
 void
 DesignContext::atomicEnd(CoreId core,
                          const std::vector<Addr> &modified_lines,
-                         std::function<void()> done)
+                         Done done)
 {
     switch (_cfg.design) {
       case DesignKind::NonAtomic:
@@ -295,52 +343,9 @@ DesignContext::atomicEnd(CoreId core,
       case DesignKind::Base:
       case DesignKind::Atom:
       case DesignKind::AtomOpt:
+        _commit[core].done = std::move(done);
         flushLines(core, modified_lines,
-                   [this, core, done = std::move(done)]() mutable {
-                       if (!_domains.empty()) {
-                           // Flushes completed on the cache-complex
-                           // domain; hand the cross-domain truncate to
-                           // the barrier leader.
-                           SimDomain::current()->submitControl(
-                               core, ctrlsub::kTruncate,
-                               InplaceCallback<64>([this, core,
-                                                    done = std::move(
-                                                        done)]() mutable {
-                                   shardedTruncate(core, std::move(done));
-                               }));
-                           return;
-                       }
-                       if (_cfg.durabilityPolicy ==
-                               DurabilityPolicy::Eventual &&
-                           _stagedCommits < _cfg.ssdStagingWindow) {
-                           // Eventual durability: ack from the
-                           // volatile staging window. Truncation (and
-                           // with it genuine durability and the AUS
-                           // release) continues in the background; a
-                           // crash before it lands rolls this commit
-                           // back, so the recovery-point loss is
-                           // bounded by the window size. A full window
-                           // falls through to the synchronous path.
-                           ++_stagedCommits;
-                           if (_stagedCommits > _stagedPeak)
-                               _stagedPeak = _stagedCommits;
-                           _statStagedAcks.inc();
-                           _commitInFlight[core] = true;
-                           _eq.postIn(1, std::move(done));
-                           truncateAll(core, [this, core] {
-                               --_stagedCommits;
-                               _commitInFlight[core] = false;
-                               if (_pendingBegin[core]) {
-                                   auto parked =
-                                       std::move(_pendingBegin[core]);
-                                   _pendingBegin[core] = nullptr;
-                                   atomicBegin(core, std::move(parked));
-                               }
-                           });
-                           return;
-                       }
-                       truncateAll(core, std::move(done));
-                   });
+                   [this, core] { afterFlush(core); });
         return;
     }
     panic("unknown design");

@@ -16,14 +16,14 @@
 #define ATOMSIM_DESIGNS_DESIGN_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -58,11 +58,15 @@ const char *logPlacementName(const SystemConfig &cfg);
 class AusPool
 {
   public:
+    /** Grant continuation: receives the slot id. Sized for the
+     * design layer's capture (a pointer, a core and a hook Done). */
+    using Granted = InplaceFunction<void(std::uint32_t), 64>;
+
     AusPool(EventQueue &eq, std::uint32_t slots, std::uint32_t cores,
             StatSet &stats);
 
     /** Acquire a slot for @p core; @p granted runs with the slot id. */
-    void acquire(CoreId core, std::function<void(std::uint32_t)> granted);
+    void acquire(CoreId core, Granted granted);
 
     /** Release @p core's slot (after truncation completes). */
     void release(CoreId core);
@@ -85,11 +89,20 @@ class AusPool
     }
 
   private:
+    /** A core stalled on structural overflow (pooled). */
+    struct Waiter
+    {
+        Waiter *next = nullptr;
+        Tick since = 0;
+        CoreId core = 0;
+        Granted granted;
+    };
+
     EventQueue &_eq;
     std::vector<int> _slotOf;        //!< per core; -1 = none
     std::vector<bool> _slotBusy;
-    std::deque<std::pair<Tick, std::pair<CoreId,
-        std::function<void(std::uint32_t)>>>> _waiters;
+    FreeListPool<Waiter> _waiterPool;
+    NodeFifo<Waiter> _waiters;
 
     Counter &_statStallCycles;
     Counter &_statAcquires;
@@ -108,9 +121,9 @@ class DesignContext : public DesignHooks
                   std::vector<L1Cache *> l1s, AusPool &pool,
                   RedoEngine *redo, StatSet &stats);
 
-    void atomicBegin(CoreId core, std::function<void()> done) override;
+    void atomicBegin(CoreId core, Done done) override;
     void atomicEnd(CoreId core, const std::vector<Addr> &modified_lines,
-                   std::function<void()> done) override;
+                   Done done) override;
 
     /**
      * Sharded runs: AUS acquisition and log-manager arm/truncate are
@@ -132,8 +145,8 @@ class DesignContext : public DesignHooks
     bool
     truncInFlight() const
     {
-        for (std::uint32_t p : _truncPending)
-            if (p != 0)
+        for (const CommitState &c : _commit)
+            if (c.truncLeft != 0)
                 return true;
         return false;
     }
@@ -165,31 +178,56 @@ class DesignContext : public DesignHooks
             _tenantCommits[core]->inc();
     }
 
-    /** Leader-executed: acquire an AUS + arm every LogM. */
-    void shardedBegin(CoreId core, std::function<void()> done);
-
-    /** Leader-executed: truncate @p core's AUS at every controller;
-     * per-MC completions hop back through the control plane. */
-    void shardedTruncate(CoreId core, std::function<void()> done);
-    /** In-flight state of one commit's flush loop (shared by the
-     * outstanding flush acks; freed when the last one completes). */
-    struct FlushState
+    /**
+     * Per-core commit state. A core runs at most one commit at a time
+     * (the commit's Done resumes it; under eventual durability its
+     * next Atomic_Begin parks until the previous truncation released
+     * the AUS), so each core reuses one record and the commit path
+     * allocates nothing.
+     */
+    struct CommitState
     {
-        std::vector<Addr> lines;
+        /** The commit's completion, held across the flush loop. */
+        Done done;
+        // --- flush loop (bounded issue window) -----------------------
+        std::vector<Addr> lines;  //!< capacity kept across commits
         std::size_t next = 0;
         std::size_t pending = 0;
-        std::function<void()> done;
+        Done flushed;
+        // --- truncation at every controller --------------------------
+        std::uint32_t truncLeft = 0;  //!< controllers still truncating
+        Done truncated;
+        // --- eventual durability (sequential kernel only) ------------
+        /** An early-acked commit's truncation still runs, so the AUS
+         * slot is not yet released and a new begin must park. */
+        bool inFlight = false;
+        Done parkedBegin;
     };
 
+    /** Leader-executed: acquire an AUS + arm every LogM. */
+    void shardedBegin(CoreId core, Done done);
+
+    /** Leader-executed: truncate @p core's AUS at every controller;
+     * per-MC completions hop back through the control plane, then
+     * the commit's Done resumes the core. */
+    void shardedTruncate(CoreId core);
+
+    /** Undo designs, after the commit flushes: truncate (sharded,
+     * staged or synchronous) and complete the commit. */
+    void afterFlush(CoreId core);
+
     /** Flush @p lines durably with a bounded issue window. */
-    void flushLines(CoreId core, std::vector<Addr> lines,
-                    std::function<void()> done);
+    void flushLines(CoreId core, const std::vector<Addr> &lines,
+                    Done done);
 
     /** Issue flushes up to the window (the L1 MSHR count). */
-    void pumpFlushes(CoreId core, const std::shared_ptr<FlushState> &st);
+    void pumpFlushes(CoreId core);
 
     /** Truncate @p core's AUS at every controller, then release it. */
-    void truncateAll(CoreId core, std::function<void()> done);
+    void truncateAll(CoreId core, Done done);
+
+    /** One controller finished truncating @p core's AUS. */
+    void truncateDone(CoreId core);
 
     /** The queue of the domain executing on this thread (sharded), or
      * the machine queue (sequential): where an inline hook running in
@@ -210,8 +248,8 @@ class DesignContext : public DesignHooks
     // --- sharded-mode state (leader-only) ----------------------------
     std::vector<SimDomain *> _domains;       //!< empty when sequential
     ShardLayout _layout;
-    std::vector<std::uint32_t> _truncPending; //!< per core, MCs left
-    std::vector<std::function<void()>> _truncDone;  //!< per core
+
+    std::vector<CommitState> _commit;        //!< per core
 
     std::vector<Counter *> _tenantCommits;   //!< per core; may be empty
 
@@ -220,10 +258,6 @@ class DesignContext : public DesignHooks
     // policy under sharding) ------------------------------------------
     std::uint32_t _stagedCommits = 0;
     std::uint32_t _stagedPeak = 0;
-    /** Per core: an early-acked commit's truncation still runs, so the
-     * AUS slot is not yet released and a new begin must park. */
-    std::vector<bool> _commitInFlight;
-    std::vector<std::function<void()>> _pendingBegin;  //!< per core
 
     Counter &_statFlushes;
     Counter &_statCommits;

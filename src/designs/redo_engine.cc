@@ -296,12 +296,13 @@ RedoEngine::sealFrame(McId mc, std::function<void()> durable)
 }
 
 void
-RedoEngine::commitTxn(CoreId core, std::function<void()> done)
+RedoEngine::commitTxn(CoreId core, InplaceCallback<32> done)
 {
     CoreState &cs = _cores[core];
     panic_if(!cs.active, "commit without a txn");
+    cs.commitDone = std::move(done);
 
-    auto write_commit = [this, core, done = std::move(done)]() mutable {
+    auto write_commit = [this, core]() mutable {
         CoreState &s = _cores[core];
         s.active = false;
         _statCommits.inc();
@@ -324,7 +325,7 @@ RedoEngine::commitTxn(CoreId core, std::function<void()> done)
 
         auto pending = std::make_shared<std::size_t>(targets.size());
         auto finish = std::make_shared<std::function<void()>>(
-            [this, core, done = std::move(done)]() mutable {
+            [this, core]() mutable {
                 // Commit record durable: release the update's staged
                 // in-place applies to the backend controllers.
                 CoreState &s2 = _cores[core];
@@ -335,6 +336,7 @@ RedoEngine::commitTxn(CoreId core, std::function<void()> done)
                 s2.stagedApplies.clear();
                 for (McId m = 0; m < _cfg.numMemCtrls; ++m)
                     backendPump(m);
+                InplaceCallback<32> done = std::move(s2.commitDone);
                 done();
             });
         for (McId m : targets) {
@@ -406,6 +408,7 @@ RedoEngine::powerFail()
         cs.draining = false;
         cs.fullWaiters.clear();
         cs.commitWaiter = nullptr;
+        cs.commitDone = nullptr;
         cs.entriesInFlight = 0;
         cs.stagedApplies.clear();
     }

@@ -71,7 +71,7 @@ class RedoEngine : public StoreLogger
      * record, then @p done. Queues the update's in-place applies on
      * the backend.
      */
-    void commitTxn(CoreId core, std::function<void()> done);
+    void commitTxn(CoreId core, InplaceCallback<32> done);
 
     /**
      * The infinite victim cache, sharded per home tile: every access
@@ -118,6 +118,8 @@ class RedoEngine : public StoreLogger
          * the completion), hence the width. */
         std::deque<InplaceCallback<240>> fullWaiters;
         std::function<void()> commitWaiter;
+        /** The pending commit's completion (one commit per core). */
+        InplaceCallback<32> commitDone;
         std::uint32_t entriesInFlight = 0;
         /** Controllers this update logged at (commit slots go to each
          * so per-controller recovery streams are self-contained). */

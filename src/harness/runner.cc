@@ -556,45 +556,51 @@ Runner::latency(std::uint32_t tenant, std::uint32_t cls) const
                     std::min(cls, kTxnClasses - 1)];
 }
 
-std::optional<Transaction>
-Runner::next(CoreId core)
+bool
+Runner::next(CoreId core, Transaction &txn)
 {
     if (_issued[core] >= _txnsPerCore)
-        return std::nullopt;
+        return false;
     ++_issued[core];
 
-    Transaction txn;
+    // Refill the core's buffer in place: the op and modified-line
+    // vectors keep their capacity from the previous transaction.
     txn.id = _nextTxnId++;
+    txn.tenant = 0;
+    txn.txnClass = 0;
+    txn.ops.clear();
+    txn.modifiedLines.clear();
     RecordingAccessor rec(_system->archMem(), txn);
     _workload.runTransaction(core, rec, _rngs[core]);
     panic_if(rec.inAtomic(), "workload left the atomic region open");
-    return txn;
+    return true;
 }
 
 void
-Runner::fetchNext(CoreId core, FetchDone done)
+Runner::fetchNext(CoreId core, Transaction &txn, FetchDone done)
 {
     if (!_system->sharded()) {
-        done(next(core));
+        done(next(core, txn));
         return;
     }
     // Per-tile domains: transaction generation mutates shared
     // functional state, so it is a control op -- leader-executed at
     // the barrier in canonical (tick, core) order, with the result
-    // posted back into the requesting core's domain queue.
+    // posted back into the requesting core's domain queue. The core
+    // leaves its buffer alone until then, so the leader may fill it.
     SimDomain *d = SimDomain::current();
     panic_if(!d, "sharded transaction fetch outside a domain scope");
     d->submitControl(
         core, ctrlsub::kFetchTxn,
-        InplaceCallback<64>([this, core,
+        InplaceCallback<64>([this, core, &txn,
                              done = std::move(done)]() mutable {
             EventQueue &q = _system
                                 ->domain(_system->shardLayout()
                                              .coreDomain(core))
                                 .queue();
-            q.postIn(1, [txn = next(core),
+            q.postIn(1, [fetched = next(core, txn),
                          done = std::move(done)]() mutable {
-                done(std::move(txn));
+                done(fetched);
             });
         }));
 }
@@ -602,22 +608,13 @@ Runner::fetchNext(CoreId core, FetchDone done)
 bool
 Runner::allDone() const
 {
-    const System &sys = *_system;
-    for (CoreId c = 0; c < sys.numCores(); ++c) {
-        if (!sys.core(c).done())
-            return false;
-    }
-    return true;
+    return _system->coreTally().idle == _system->numCores();
 }
 
 std::uint64_t
 Runner::committed() const
 {
-    const System &sys = *_system;
-    std::uint64_t total = 0;
-    for (CoreId c = 0; c < sys.numCores(); ++c)
-        total += sys.core(c).committed();
-    return total;
+    return _system->coreTally().committed;
 }
 
 RunResult

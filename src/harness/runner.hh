@@ -154,8 +154,9 @@ class Runner : public TransactionSource
     Workload &workload() { return _workload; }
     PersistentHeap &heap() { return *_heap; }
 
-    /** TransactionSource: next transaction for @p core. */
-    std::optional<Transaction> next(CoreId core) override;
+    /** TransactionSource: fill @p txn with @p core's next
+     * transaction. */
+    bool next(CoreId core, Transaction &txn) override;
 
     /**
      * TransactionSource: asynchronous fetch. Sequential runs dispatch
@@ -165,9 +166,10 @@ class Runner : public TransactionSource
      * leader-side in canonical (tick, core) order and the result is
      * posted back into the core's domain queue.
      */
-    void fetchNext(CoreId core, FetchDone done) override;
+    void fetchNext(CoreId core, Transaction &txn,
+                   FetchDone done) override;
 
-    /** Total transactions committed so far (across cores). */
+    /** Total transactions committed so far (across cores; O(1)). */
     std::uint64_t committed() const;
 
     /** Collect the result counters from the stat set. */
@@ -194,6 +196,7 @@ class Runner : public TransactionSource
   private:
     friend struct ShardEngine;
 
+    /** Every core idle (O(1): the cores count themselves). */
     bool allDone() const;
 
     /** Conservative-window parallel run loop (cfg.numShards > 0). */

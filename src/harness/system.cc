@@ -170,6 +170,7 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
             c, core_queue(c), _cfg, *_l1s[c], _stats));
         _cores.back()->setHooks(_design.get());
         _cores.back()->setRegionSerializer(_regionSer.get());
+        _cores.back()->setTally(&_tally);
     }
 
     if (_layout.sharded()) {

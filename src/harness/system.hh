@@ -98,6 +98,9 @@ class System
 
     std::uint32_t numCores() const { return _cfg.numCores; }
 
+    /** Idle-core and commit counts the cores keep themselves. */
+    const CoreTally &coreTally() const { return _tally; }
+
     /** Seed the durable image from the architectural one (after
      * functional initialization: initial state is durable). */
     void makeDurableSnapshot() { _nvm = _arch.clone(); }
@@ -140,6 +143,7 @@ class System
     std::vector<std::unique_ptr<L2Tile>> _tiles;
     std::vector<std::unique_ptr<L1Cache>> _l1s;
     std::vector<std::unique_ptr<Core>> _cores;
+    CoreTally _tally;
     /** Set iff cfg.serializeAtomicRegions (sequential kernel only). */
     std::unique_ptr<RegionSerializer> _regionSer;
 

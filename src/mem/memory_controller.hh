@@ -35,13 +35,13 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/dram_cache.hh"
 #include "mem/dram_device.hh"
 #include "mem/nvm_channel.hh"
 #include "mem/phys_mem.hh"
+#include "sim/addr_table.hh"
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -117,6 +117,13 @@ class WriteGate
      */
     virtual bool tryAcquire(Addr line_addr, UnlockCallback on_unlock) = 0;
 };
+
+/**
+ * Log-truncation completion (LogM::truncate, parked by
+ * DestageEngine::onTruncate under the backlog bound). Sized for the
+ * design layer's capture: a pointer, a core and a controller index.
+ */
+using TruncateCallback = InplaceCallback<32>;
 
 class DestageEngine;
 
@@ -233,8 +240,9 @@ class MemoryController
      * through the public API would double-count it. */
     friend class DestageEngine;
 
-    /** Combine-overflow node: extra durability acks beyond the first
-     * accumulated on a queued write (pooled, rare). */
+    /** Pooled ack node: extra durability acks beyond the first
+     * accumulated on a queued write (combine overflow, rare), and
+     * whenLineDurable waiters chained on a PendingWrite. */
     struct WcbNode
     {
         WcbNode *next = nullptr;
@@ -426,8 +434,11 @@ class MemoryController
         std::uint32_t count = 0;
         std::uint64_t committedSeq = 0;
         Line data{};
+        /** whenLineDurable callbacks; they fire when count drops to
+         * zero. */
+        NodeFifo<WcbNode> durWaiters;
     };
-    std::unordered_map<Addr, PendingWrite> _inflightWrites;
+    AddrTable<PendingWrite> _inflightWrites;
     std::uint64_t _acceptSeq = 0;  //!< write-acceptance order stamp
     /** Writes issued to the device but not yet completed, tracked
      * only under cfg.tornWrites: these are the writes a power
@@ -438,8 +449,6 @@ class MemoryController
     std::vector<Request *> _deviceWrites;
     /** Uncorrectable media read failures (hard-fail fault report). */
     std::vector<MediaFaultRecord> _mediaFaults;
-    /** Callbacks waiting on line durability. */
-    std::unordered_map<Addr, std::vector<WriteCallback>> _durWaiters;
 
     std::size_t _pendingWrites = 0;
     std::size_t _pendingReads = 0;

@@ -329,7 +329,7 @@ DestageEngine::scrubPage(Addr page)
 DestageEngine::Attempt
 DestageEngine::tryDestage(Addr page, bool is_log)
 {
-    if (_pages.count(page))
+    if (_pages.contains(page))
         return Attempt::Skip;  // already in the pipeline (or forwarded)
     if (_freeSlots.empty() || _freeFlash.empty()) {
         _statStalls.inc();
@@ -356,12 +356,11 @@ DestageEngine::tryDestage(Addr page, bool is_log)
     _freeSlots.pop_back();
     _freeFlash.pop_back();
 
-    PageRec rec;
+    PageRec &rec = _pages[page];
     rec.state = PageState::Programming;
     rec.isLog = is_log;
     rec.slot = slot;
     rec.flashPage = flash_page;
-    _pages.emplace(page, std::move(rec));
     MapSlot &s = _slots[slot];
     s.page = page;
     s.flashPage = flash_page;
@@ -373,10 +372,10 @@ DestageEngine::tryDestage(Addr page, bool is_log)
 void
 DestageEngine::onProgramDone(Addr page)
 {
-    const auto it = _pages.find(page);
-    if (it == _pages.end())
+    PageRec *found = _pages.find(page);
+    if (!found)
         return;
-    PageRec &rec = it->second;
+    PageRec &rec = *found;
     if (rec.cancel) {
         // A write landed while the program was in flight: the snapshot
         // is stale, NVM stays authoritative, the flash copy is waste.
@@ -385,7 +384,7 @@ DestageEngine::onProgramDone(Addr page)
         _freeFlash.push_back(rec.flashPage);
         _statCancelled.inc();
         --_inFlight;
-        _pages.erase(it);
+        _pages.erase(page);
         drainBoundWaiters();
         maybeDestage();
         return;
@@ -398,22 +397,24 @@ DestageEngine::onProgramDone(Addr page)
 void
 DestageEngine::onMapDurable(Addr page)
 {
-    const auto it = _pages.find(page);
-    if (it == _pages.end())
+    PageRec *rec = _pages.find(page);
+    if (!rec)
         return;
-    PageRec &rec = it->second;
     // The forwarding entry is durable: flash owns the page now.
     // Surrender the NVM copy only at this point — a crash any earlier
     // leaves an invalid (or absent) entry and intact NVM bytes.
     scrubPage(page);
-    rec.state = PageState::Forwarded;
+    rec->state = PageState::Forwarded;
     --_inFlight;
     ++_pagesDestaged;
-    (rec.isLog ? _statLogPages : _statPages).inc();
+    (rec->isLog ? _statLogPages : _statPages).inc();
     drainBoundWaiters();
-    if (rec.dropOnMap)
+    // The released truncations may have started destages (table
+    // inserts): look the page up again.
+    rec = _pages.find(page);
+    if (rec && rec->dropOnMap)
         startClear(page);
-    else if (!rec.parked.empty())
+    else if (rec && !rec->parked.empty())
         startPromotion(page);
     maybeDestage();
 }
@@ -421,7 +422,7 @@ DestageEngine::onMapDurable(Addr page)
 void
 DestageEngine::startPromotion(Addr page)
 {
-    PageRec &rec = _pages.at(page);
+    PageRec &rec = *_pages.find(page);
     if (rec.state != PageState::Forwarded)
         return;
     SsdDevice::Cmd *cmd = _ssd.acquireCmd();
@@ -444,10 +445,10 @@ DestageEngine::startPromotion(Addr page)
 void
 DestageEngine::onPromoteRead(Addr page, const std::uint8_t *data)
 {
-    const auto it = _pages.find(page);
-    if (it == _pages.end())
+    PageRec *found = _pages.find(page);
+    if (!found)
         return;
-    PageRec &rec = it->second;
+    PageRec &rec = *found;
     // Restore the bytes, then clear the entry durably; parked accesses
     // replay only once the clear is durable (a write replayed earlier
     // would be clobbered by rehydration if a crash found the entry
@@ -469,7 +470,7 @@ DestageEngine::startClear(Addr page)
     // rejects its records) and clear the entry durably. No timed SSD
     // read: this is metadata housekeeping inside truncation, not a
     // demand access.
-    PageRec &rec = _pages.at(page);
+    PageRec &rec = *_pages.find(page);
     std::array<std::uint8_t, kPageBytes> buf;
     _ssd.flash().read(Addr(rec.flashPage) * kPageBytes, kPageBytes,
                       buf.data());
@@ -482,22 +483,33 @@ DestageEngine::startClear(Addr page)
 void
 DestageEngine::onClearDurable(Addr page)
 {
-    const auto it = _pages.find(page);
-    if (it == _pages.end())
+    const PageRec *found = _pages.find(page);
+    if (!found)
         return;
-    PageRec rec = std::move(it->second);
-    _pages.erase(it);
+    const PageRec rec = *found;
+    _pages.erase(page);
     _slots[rec.slot] = MapSlot{};
     _freeSlots.push_back(rec.slot);
     _freeFlash.push_back(rec.flashPage);
     // Replay parked accesses in arrival order through the ordinary
     // controller paths (they re-enter the intercept and fall through).
-    for (auto &op : rec.parked) {
-        if (op.isWrite)
-            _ctrl.writeNvm(op.addr, op.data, op.wkind,
-                           std::move(op.wcb));
-        else
-            _ctrl.readNvm(op.addr, op.rkind, std::move(op.rcb));
+    for (ParkedOp *op = rec.parked.head; op;) {
+        ParkedOp *next = op->next;
+        if (op->isWrite) {
+            const Addr addr = op->addr;
+            const Line data = op->data;
+            const WriteKind kind = op->wkind;
+            MemoryController::WriteCallback cb = std::move(op->wcb);
+            _parkedPool.release(op);
+            _ctrl.writeNvm(addr, data, kind, std::move(cb));
+        } else {
+            const Addr addr = op->addr;
+            const ReadKind kind = op->rkind;
+            MemoryController::ReadCallback cb = std::move(op->rcb);
+            _parkedPool.release(op);
+            _ctrl.readNvm(addr, kind, std::move(cb));
+        }
+        op = next;
     }
 }
 
@@ -507,11 +519,11 @@ DestageEngine::interceptRead(Addr addr, ReadKind kind,
 {
     if (_pages.empty())
         return false;
-    const auto it = _pages.find(addr & ~Addr(kPageBytes - 1));
-    if (it == _pages.end())
+    const Addr page = addr & ~Addr(kPageBytes - 1);
+    PageRec *rec = _pages.find(page);
+    if (!rec)
         return false;
-    PageRec &rec = it->second;
-    switch (rec.state) {
+    switch (rec->state) {
       case PageState::Programming:
       case PageState::MapWriting:
       case PageState::Clearing:
@@ -519,14 +531,13 @@ DestageEngine::interceptRead(Addr addr, ReadKind kind,
         return false;
       case PageState::Forwarded:
       case PageState::Promoting: {
-        ParkedOp op;
-        op.isWrite = false;
-        op.addr = addr;
-        op.rkind = kind;
-        op.rcb = std::move(cb);
-        rec.parked.push_back(std::move(op));
-        if (rec.state == PageState::Forwarded)
-            startPromotion(it->first);
+        ParkedOp *op = park(*rec);
+        op->isWrite = false;
+        op->addr = addr;
+        op->rkind = kind;
+        op->rcb = std::move(cb);
+        if (rec->state == PageState::Forwarded)
+            startPromotion(page);
         return true;
       }
     }
@@ -540,40 +551,32 @@ DestageEngine::interceptWrite(Addr addr, const Line &data,
 {
     if (_pages.empty() || kind == WriteKind::FwdMap)
         return false;
-    const auto it = _pages.find(addr & ~Addr(kPageBytes - 1));
-    if (it == _pages.end())
+    const Addr page = addr & ~Addr(kPageBytes - 1);
+    PageRec *rec = _pages.find(page);
+    if (!rec)
         return false;
-    PageRec &rec = it->second;
-    switch (rec.state) {
+    switch (rec->state) {
       case PageState::Programming:
         // The in-flight snapshot is stale now; cancel the destage and
         // let the write through (NVM never stopped being the truth).
-        rec.cancel = true;
+        rec->cancel = true;
         return false;
       case PageState::MapWriting:
       case PageState::Promoting:
-      case PageState::Clearing: {
+      case PageState::Clearing:
+      case PageState::Forwarded: {
         // Park until the entry settles: a write committed while the
         // entry is (or may become) valid would be undone by
-        // rehydration after a crash.
-        ParkedOp op;
-        op.isWrite = true;
-        op.addr = addr;
-        op.data = data;
-        op.wkind = kind;
-        op.wcb = std::move(cb);
-        rec.parked.push_back(std::move(op));
-        return true;
-      }
-      case PageState::Forwarded: {
-        ParkedOp op;
-        op.isWrite = true;
-        op.addr = addr;
-        op.data = data;
-        op.wkind = kind;
-        op.wcb = std::move(cb);
-        rec.parked.push_back(std::move(op));
-        startPromotion(it->first);
+        // rehydration after a crash. A forwarded page also starts
+        // its promotion back to NVM.
+        ParkedOp *op = park(*rec);
+        op->isWrite = true;
+        op->addr = addr;
+        op->data = data;
+        op->wkind = kind;
+        op->wcb = std::move(cb);
+        if (rec->state == PageState::Forwarded)
+            startPromotion(page);
         return true;
       }
     }
@@ -583,7 +586,7 @@ DestageEngine::interceptWrite(Addr addr, const Line &data,
 void
 DestageEngine::onLogSegmentCold(Addr bucket_page)
 {
-    if (_pages.count(bucket_page))
+    if (_pages.contains(bucket_page))
         return;
     if (std::find(_pendingColdLog.begin(), _pendingColdLog.end(),
                   bucket_page) != _pendingColdLog.end())
@@ -593,9 +596,9 @@ DestageEngine::onLogSegmentCold(Addr bucket_page)
 }
 
 void
-DestageEngine::onTruncate(std::vector<Addr> data_pages,
-                          std::vector<Addr> log_pages,
-                          std::function<void()> done)
+DestageEngine::onTruncate(const std::vector<Addr> &data_pages,
+                          const std::vector<Addr> &log_pages,
+                          TruncateCallback done)
 {
     for (const Addr p : log_pages)
         dropLogPage(p);
@@ -608,7 +611,9 @@ DestageEngine::onTruncate(std::vector<Addr> data_pages,
         return;
     }
     _statTruncWaits.inc();
-    _boundWaiters.push_back(std::move(done));
+    BoundWaiter *w = _boundPool.acquire();
+    w->done = std::move(done);
+    _boundWaiters.push(w);
 }
 
 void
@@ -619,16 +624,15 @@ DestageEngine::dropLogPage(Addr page)
                                    _pendingColdLog.end(), page);
     if (pending != _pendingColdLog.end())
         _pendingColdLog.erase(pending);
-    const auto it = _pages.find(page);
-    if (it == _pages.end())
+    PageRec *rec = _pages.find(page);
+    if (!rec)
         return;
-    PageRec &rec = it->second;
-    switch (rec.state) {
+    switch (rec->state) {
       case PageState::Programming:
-        rec.cancel = true;
+        rec->cancel = true;
         break;
       case PageState::MapWriting:
-        rec.dropOnMap = true;
+        rec->dropOnMap = true;
         break;
       case PageState::Forwarded:
         startClear(page);
@@ -639,10 +643,18 @@ DestageEngine::dropLogPage(Addr page)
     }
 }
 
+DestageEngine::ParkedOp *
+DestageEngine::park(PageRec &rec)
+{
+    ParkedOp *op = _parkedPool.acquire();
+    rec.parked.push(op);
+    return op;
+}
+
 void
 DestageEngine::touchCold(Addr page)
 {
-    if (_pages.count(page))
+    if (_pages.contains(page))
         return;
     const auto pos = std::find(_coldLru.begin(), _coldLru.end(), page);
     if (pos != _coldLru.end())
@@ -692,8 +704,9 @@ DestageEngine::drainBoundWaiters()
 {
     while (!_boundWaiters.empty() &&
            backlog() <= _cfg.ssdMaxDestageBacklog) {
-        auto done = std::move(_boundWaiters.front());
-        _boundWaiters.erase(_boundWaiters.begin());
+        BoundWaiter *w = _boundWaiters.pop();
+        TruncateCallback done = std::move(w->done);
+        _boundPool.release(w);
         done();
     }
 }
@@ -701,19 +714,20 @@ DestageEngine::drainBoundWaiters()
 std::optional<DestageEngine::PageState>
 DestageEngine::pageState(Addr page) const
 {
-    const auto it = _pages.find(page);
-    if (it == _pages.end())
+    const PageRec *rec = _pages.find(page);
+    if (!rec)
         return std::nullopt;
-    return it->second.state;
+    return rec->state;
 }
 
 std::uint32_t
 DestageEngine::forwardedPages() const
 {
     std::uint32_t n = 0;
-    for (const auto &kv : _pages)
-        if (kv.second.state == PageState::Forwarded)
+    _pages.forEach([&n](Addr, const PageRec &rec) {
+        if (rec.state == PageState::Forwarded)
             ++n;
+    });
     return n;
 }
 
@@ -736,7 +750,7 @@ DestageEngine::pump()
     std::vector<Addr> retry;
     retry.swap(_promoteRetry);
     for (const Addr p : retry) {
-        if (_pages.count(p))
+        if (_pages.contains(p))
             startPromotion(p);
     }
     maybeDestage();
@@ -750,6 +764,15 @@ DestageEngine::powerFail()
     // Everything here is volatile pipeline state; the durable truth a
     // crash leaves behind is the NVM-resident map (plus the flash
     // image the device keeps), which recovery rehydrates.
+    _pages.forEach([this](Addr, PageRec &rec) {
+        for (ParkedOp *op = rec.parked.take(); op;) {
+            ParkedOp *next = op->next;
+            op->rcb = nullptr;
+            op->wcb = nullptr;
+            _parkedPool.release(op);
+            op = next;
+        }
+    });
     _pages.clear();
     for (auto &s : _slots)
         s = MapSlot{};
@@ -762,7 +785,12 @@ DestageEngine::powerFail()
     _coldLru.clear();
     _pendingColdLog.clear();
     _promoteRetry.clear();
-    _boundWaiters.clear();
+    for (BoundWaiter *w = _boundWaiters.take(); w;) {
+        BoundWaiter *next = w->next;
+        w->done = nullptr;
+        _boundPool.release(w);
+        w = next;
+    }
     _inFlight = 0;
     _eq.deschedule(_pumpEvent);
 }

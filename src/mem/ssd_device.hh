@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -267,11 +266,12 @@ class DestageEngine
      * forwarded pages — recovery's sequence window already rejects
      * their stale records). @p done is the truncation completion:
      * strict fires it immediately; balanced/eventual park it until the
-     * un-destaged backlog is at most ssdMaxDestageBacklog.
+     * un-destaged backlog is at most ssdMaxDestageBacklog. The page
+     * lists are only read during the call (callers reuse them).
      */
-    void onTruncate(std::vector<Addr> data_pages,
-                    std::vector<Addr> log_pages,
-                    std::function<void()> done);
+    void onTruncate(const std::vector<Addr> &data_pages,
+                    const std::vector<Addr> &log_pages,
+                    TruncateCallback done);
 
     // --- controller intercepts (top of readNvm / writeNvm) -----------
 
@@ -310,9 +310,11 @@ class DestageEngine
     std::uint64_t promotions() const { return _promotionsDone; }
 
   private:
-    /** One parked access waiting for its page to be promoted. */
+    /** One parked access waiting for its page to be promoted
+     * (pooled). */
     struct ParkedOp
     {
+        ParkedOp *next = nullptr;
         bool isWrite = false;
         Addr addr = 0;
         Line data{};
@@ -330,7 +332,7 @@ class DestageEngine
         bool dropOnMap = false;  //!< MapWriting: truncate wants a drop
         std::uint32_t slot = 0;
         std::uint32_t flashPage = 0;
-        std::vector<ParkedOp> parked;
+        NodeFifo<ParkedOp> parked;
     };
 
     /** Forwarding-map slot mirror (the durable truth is in NVM). */
@@ -355,6 +357,8 @@ class DestageEngine
     void startClear(Addr page);
     void onClearDurable(Addr page);
     void dropLogPage(Addr page);
+    /** A fresh parked access, appended to @p rec's queue. */
+    ParkedOp *park(PageRec &rec);
     void touchCold(Addr page);
     void maybeDestage();
     void drainBoundWaiters();
@@ -375,7 +379,11 @@ class DestageEngine
     SsdDevice &_ssd;
     DataImage &_nvm;
 
-    std::unordered_map<Addr, PageRec> _pages;
+    /** Pages in the pipeline. A flat table: a PageRec reference is
+     * only good until the next insert or erase, so handlers that run
+     * callbacks (which can start destages) re-look their page up. */
+    AddrTable<PageRec> _pages;
+    FreeListPool<ParkedOp> _parkedPool;
     std::vector<MapSlot> _slots;
     std::vector<std::uint32_t> _freeSlots;  //!< pop smallest first
     std::vector<std::uint32_t> _freeFlash;
@@ -383,7 +391,14 @@ class DestageEngine
     std::vector<Addr> _coldLru;         //!< truncate order, oldest first
     std::vector<Addr> _pendingColdLog;  //!< cold buckets awaiting destage
     std::vector<Addr> _promoteRetry;    //!< promotions that hit a full SQ
-    std::vector<std::function<void()>> _boundWaiters;
+    /** A truncation completion parked on the backlog bound (pooled). */
+    struct BoundWaiter
+    {
+        BoundWaiter *next = nullptr;
+        TruncateCallback done;
+    };
+    FreeListPool<BoundWaiter> _boundPool;
+    NodeFifo<BoundWaiter> _boundWaiters;
 
     std::uint32_t _inFlight = 0;
     std::uint64_t _pagesDestaged = 0;

@@ -413,18 +413,4 @@ EventQueue::run(Tick limit)
     return n;
 }
 
-std::uint64_t
-EventQueue::runUntil(const std::function<bool()> &pred, Tick limit)
-{
-    std::uint64_t n = 0;
-    while (!pred() && _pending != 0) {
-        const Tick t = nextEventTick();
-        if (t > limit)
-            break;
-        executeNext(t);
-        ++n;
-    }
-    return n;
-}
-
 } // namespace atomsim

@@ -285,10 +285,23 @@ class EventQueue
 
     /**
      * Run until @p pred returns true (checked before every event), the
-     * queue drains, or @p limit is hit.
+     * queue drains, or @p limit is hit. A template, so the per-event
+     * check inlines (no std::function call on the hot loop).
      */
-    std::uint64_t runUntil(const std::function<bool()> &pred,
-                           Tick limit = kTickNever);
+    template <typename Pred>
+    std::uint64_t
+    runUntil(Pred &&pred, Tick limit = kTickNever)
+    {
+        std::uint64_t n = 0;
+        while (!pred() && _pending != 0) {
+            const Tick t = nextEventTick();
+            if (t > limit)
+                break;
+            executeNext(t);
+            ++n;
+        }
+        return n;
+    }
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return _executed; }

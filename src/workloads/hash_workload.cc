@@ -25,19 +25,23 @@ bucketOf(std::uint64_t key)
     return key % HashWorkload::kBuckets;
 }
 
+/** Store @p key's payload pattern at @p payload, staged in @p words
+ * (one payload long; reused across calls). */
 void
-fillPayload(Accessor &mem, Addr payload, std::uint32_t bytes,
+fillPayload(Accessor &mem, Addr payload, std::vector<std::uint64_t> &words,
             std::uint64_t key)
 {
-    std::vector<std::uint64_t> words(bytes / 8);
     for (std::size_t i = 0; i < words.size(); ++i)
         words[i] = key * 0x9e3779b97f4a7c15ULL + i;
-    mem.storeBytes(payload, bytes, words.data());
+    mem.storeBytes(payload, words.size() * 8, words.data());
 }
 
 } // namespace
 
-HashWorkload::HashWorkload(const MicroParams &params) : _params(params) {}
+HashWorkload::HashWorkload(const MicroParams &params)
+    : _params(params), _payloadWords(params.entryBytes / 8)
+{
+}
 
 Addr
 HashWorkload::nodeBytes() const
@@ -76,7 +80,7 @@ HashWorkload::insert(CoreId core, Accessor &mem, std::uint64_t key)
     mem.atomicBegin();
     mem.store64(node + kKeyOff, key);
     mem.store64(node + kNextOff, head);
-    fillPayload(mem, node + kPayloadOff, _params.entryBytes, key);
+    fillPayload(mem, node + kPayloadOff, _payloadWords, key);
     mem.store64(head_slot, node);
     mem.atomicEnd();
 }

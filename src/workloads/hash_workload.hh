@@ -49,6 +49,8 @@ class HashWorkload : public Workload
     MicroParams _params;
     PersistentHeap *_heap = nullptr;
     std::vector<PerCore> _state;
+    /** One payload's words, reused by every insert. */
+    std::vector<std::uint64_t> _payloadWords;
 };
 
 } // namespace atomsim

@@ -83,7 +83,8 @@ KvWorkload::className(std::uint16_t cls)
     return "?";
 }
 
-KvWorkload::KvWorkload(const KvParams &params) : _params(params)
+KvWorkload::KvWorkload(const KvParams &params)
+    : _params(params), _valueWords(params.valueBytes / 8)
 {
     panic_if(_params.valueBytes == 0 || _params.valueBytes % 8 != 0,
              "kv valueBytes must be a nonzero multiple of 8");
@@ -124,7 +125,7 @@ KvWorkload::writeValue(Accessor &mem, Addr value_addr,
                        std::uint32_t tenant, std::uint64_t key,
                        std::uint64_t version)
 {
-    std::vector<std::uint64_t> words(_params.valueBytes / 8);
+    std::vector<std::uint64_t> &words = _valueWords;
     const std::uint64_t seed = valueSeed(tenant, key, version);
     for (std::size_t i = 0; i < words.size(); ++i)
         words[i] = seed + i;
@@ -180,8 +181,8 @@ KvWorkload::doRead(const Tenant &t, Accessor &mem, std::uint64_t key)
     mem.compute(10);  // request parse + hash
     mem.load64(slot + kKeyTagOff);
     mem.load64(slot + kVersionOff);
-    std::vector<std::uint64_t> words(_params.valueBytes / 8);
-    mem.loadBytes(slot + kValueOff, _params.valueBytes, words.data());
+    mem.loadBytes(slot + kValueOff, _params.valueBytes,
+                  _valueWords.data());
     mem.compute(10);  // response serialization
 }
 

@@ -138,6 +138,9 @@ class KvWorkload : public Workload
     std::vector<Tenant> _tenants;
     std::vector<PerCore> _state;
     std::vector<ZipfianGenerator> _zipf;  //!< one element, shared n
+    /** One value's words, reused by every read and write (transaction
+     * generation runs on one thread). */
+    std::vector<std::uint64_t> _valueWords;
 };
 
 } // namespace atomsim

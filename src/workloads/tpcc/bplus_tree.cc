@@ -1,5 +1,7 @@
 #include "workloads/tpcc/bplus_tree.hh"
 
+#include <array>
+
 #include "sim/logging.hh"
 
 namespace atomsim
@@ -98,8 +100,7 @@ BPlusTree::create(Accessor &mem, PersistentHeap &heap,
 }
 
 Addr
-BPlusTree::descend(Accessor &mem, std::uint64_t key,
-                   std::vector<std::pair<Addr, std::uint32_t>> *path)
+BPlusTree::descend(Accessor &mem, std::uint64_t key, Path *path)
 {
     Addr node = rootOf(mem);
     while (!isLeaf(mem, node)) {
@@ -129,9 +130,8 @@ BPlusTree::search(Accessor &mem, std::uint64_t key)
 }
 
 void
-BPlusTree::insertIntoParent(
-    Accessor &mem, std::vector<std::pair<Addr, std::uint32_t>> &path,
-    std::uint64_t sep_key, Addr right)
+BPlusTree::insertIntoParent(Accessor &mem, Path &path,
+                            std::uint64_t sep_key, Addr right)
 {
     if (path.empty()) {
         // Split the root: new root with one key, two children.
@@ -163,19 +163,22 @@ BPlusTree::insertIntoParent(
         return;
     }
 
-    // Split the internal node. Materialize the post-insert sequence,
-    // then divide it around the median.
-    std::vector<std::uint64_t> keys;
-    std::vector<Addr> children;
-    keys.reserve(n + 1);
-    children.reserve(n + 2);
-    children.push_back(mem.load64(intChildSlot(node, 0)));
-    for (std::uint32_t i = 0; i < n; ++i) {
-        keys.push_back(mem.load64(intKeySlot(node, i)));
-        children.push_back(mem.load64(intChildSlot(node, i + 1)));
+    // Split the internal node (it is full: n == kIntKeys). Materialize
+    // the post-insert sequence on the stack, then divide it around the
+    // median.
+    std::array<std::uint64_t, kIntKeys + 1> keys;
+    std::array<Addr, kIntKeys + 2> children;
+    children[0] = mem.load64(intChildSlot(node, 0));
+    for (std::uint32_t i = 0, j = 0; i <= n; ++i) {
+        if (i == at) {
+            keys[i] = sep_key;
+            children[i + 1] = right;
+        } else {
+            keys[i] = mem.load64(intKeySlot(node, j));
+            children[i + 1] = mem.load64(intChildSlot(node, j + 1));
+            ++j;
+        }
     }
-    keys.insert(keys.begin() + at, sep_key);
-    children.insert(children.begin() + at + 1, right);
 
     const std::uint32_t mid = std::uint32_t(keys.size()) / 2;
     const std::uint64_t up_key = keys[mid];
@@ -204,7 +207,8 @@ BPlusTree::insertIntoParent(
 void
 BPlusTree::insert(Accessor &mem, std::uint64_t key, std::uint64_t value)
 {
-    std::vector<std::pair<Addr, std::uint32_t>> path;
+    Path &path = _path;
+    path.clear();
     const Addr leaf = descend(mem, key, &path);
     const std::uint32_t n = countOf(mem, leaf);
 
@@ -230,9 +234,10 @@ BPlusTree::insert(Accessor &mem, std::uint64_t key, std::uint64_t value)
         return;
     }
 
-    // Split the leaf around the median of the post-insert sequence.
-    std::vector<std::uint64_t> keys(n + 1);
-    std::vector<std::uint64_t> vals(n + 1);
+    // Split the (full: n == kLeafKeys) leaf around the median of the
+    // post-insert sequence, materialized on the stack.
+    std::array<std::uint64_t, kLeafKeys + 1> keys;
+    std::array<std::uint64_t, kLeafKeys + 1> vals;
     for (std::uint32_t i = 0, j = 0; i <= n; ++i) {
         if (i == at) {
             keys[i] = key;

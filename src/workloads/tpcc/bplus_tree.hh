@@ -79,15 +79,15 @@ class BPlusTree
 
     Addr allocNode(Accessor &mem, bool leaf);
 
+    /** (internal node, child index) steps from the root to a leaf. */
+    using Path = std::vector<std::pair<Addr, std::uint32_t>>;
+
     /** Descend to the leaf for @p key, recording the path. */
-    Addr descend(Accessor &mem, std::uint64_t key,
-                 std::vector<std::pair<Addr, std::uint32_t>> *path);
+    Addr descend(Accessor &mem, std::uint64_t key, Path *path);
 
     /** Insert @p key/@p right into the parent after a child split. */
-    void insertIntoParent(
-        Accessor &mem,
-        std::vector<std::pair<Addr, std::uint32_t>> &path,
-        std::uint64_t sep_key, Addr right);
+    void insertIntoParent(Accessor &mem, Path &path, std::uint64_t sep_key,
+                          Addr right);
 
     std::string checkSubtree(Accessor &mem, Addr node, std::uint64_t lo,
                              std::uint64_t hi, std::uint32_t depth,
@@ -96,6 +96,8 @@ class BPlusTree
     Addr _anchor;
     PersistentHeap &_heap;
     std::uint32_t _core;
+    /** insert()'s descent path, reused so inserts don't allocate. */
+    Path _path;
 };
 
 } // namespace atomsim

@@ -1,5 +1,6 @@
 #include "workloads/tpcc/tpcc_workload.hh"
 
+#include <array>
 #include <vector>
 
 namespace atomsim
@@ -28,6 +29,7 @@ TpccWorkload::runTransaction(CoreId core, Accessor &mem, Random &rng)
         1 + std::uint32_t(rng.below(_scale.districtsPerWh));
     const std::uint32_t c =
         1 + std::uint32_t(rng.below(_scale.customersPerDistrict));
+    constexpr std::uint32_t kMaxItems = 15;  // 5..15 order lines
     const std::uint32_t n_items = 5 + std::uint32_t(rng.below(11));
 
     // --- Reads outside the durable region -----------------------------
@@ -47,17 +49,15 @@ TpccWorkload::runTransaction(CoreId core, Accessor &mem, Random &rng)
         Addr irow;
         Addr srow;
     };
-    std::vector<PickedItem> picked;
-    picked.reserve(n_items);
+    std::array<PickedItem, kMaxItems> picked;
     for (std::uint32_t l = 0; l < n_items; ++l) {
         const std::uint32_t item =
             1 + std::uint32_t(rng.below(_scale.items));
         const Addr irow = *db.item().search(mem, item);
         mem.load64(irow + kIPriceOff);
         const Addr srow = *db.stock().search(mem, stockKey(w, item));
-        picked.push_back(PickedItem{item,
-                                    1 + std::uint32_t(rng.below(10)),
-                                    irow, srow});
+        picked[l] = PickedItem{item, 1 + std::uint32_t(rng.below(10)),
+                               irow, srow};
     }
 
     // --- The atomic new-order mutation --------------------------------

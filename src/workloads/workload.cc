@@ -53,11 +53,11 @@ RecordingAccessor::emitStore(Addr addr, const void *bytes,
             std::min<std::uint32_t>({8, size, to_line});
         _txn.ops.push_back(MemOp::store(addr, p, chunk));
         if (_inAtomic) {
+            // Modified-line set, in first-write order.
+            auto &lines = _txn.modifiedLines;
             const Addr line = lineAlign(addr);
-            if (std::find(_modified.begin(), _modified.end(), line) ==
-                _modified.end()) {
-                _modified.push_back(line);
-            }
+            if (std::find(lines.begin(), lines.end(), line) == lines.end())
+                lines.push_back(line);
         }
         p += chunk;
         addr += chunk;
@@ -121,7 +121,6 @@ RecordingAccessor::atomicEnd()
 {
     panic_if(!_inAtomic, "atomicEnd without atomicBegin");
     _inAtomic = false;
-    _txn.modifiedLines = _modified;
     _txn.ops.push_back(MemOp::marker(OpKind::AtomicEnd));
 }
 

@@ -137,9 +137,8 @@ class RecordingAccessor : public Accessor
     void emitStore(Addr addr, const void *bytes, std::uint32_t size);
 
     DataImage &_image;
-    Transaction &_txn;
+    Transaction &_txn;  //!< ops and modifiedLines are appended to
     bool _inAtomic = false;
-    std::vector<Addr> _modified;  //!< line addresses, first-write order
 };
 
 /** Dataset-size/mix parameters for the micro-benchmarks (Section V). */

@@ -1,10 +1,14 @@
 /**
  * @file
  * Unit tests for the core model: store queue back-pressure and stats,
- * op execution, atomic-region hooks.
+ * the store queue's ring (wrap, FIFO full retries, same-line order,
+ * forwarding, drain waiters), op execution, atomic-region hooks.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
 
 #include "harness/system.hh"
 
@@ -30,12 +34,13 @@ tinyConfig(DesignKind design, std::uint32_t sq_entries = 32)
 class ScriptedSource : public TransactionSource
 {
   public:
-    std::optional<Transaction>
-    next(CoreId core) override
+    bool
+    next(CoreId core, Transaction &txn) override
     {
         if (core >= scripts.size() || at[core] >= scripts[core].size())
-            return std::nullopt;
-        return scripts[core][at[core]++];
+            return false;
+        txn = scripts[core][at[core]++];
+        return true;
     }
 
     std::vector<std::vector<Transaction>> scripts{2};
@@ -181,9 +186,10 @@ TEST(StoreQueueTest, HoldsLineMatchesPendingStores)
 {
     System sys(tinyConfig(DesignKind::NonAtomic), Addr(8) * 1024 * 1024);
     StoreQueue &sq = sys.core(0).storeQueue();
-    std::vector<std::uint8_t> payload(8, 0xaa);
+    const std::uint8_t payload[8] = {0xaa, 0xaa, 0xaa, 0xaa,
+                                     0xaa, 0xaa, 0xaa, 0xaa};
     bool accepted = false;
-    sq.push(0x90008, payload, [&] { accepted = true; });
+    sq.push(0x90008, payload, 8, [&] { accepted = true; });
     EXPECT_TRUE(accepted);
     EXPECT_TRUE(sq.holdsLine(0x90000));   // same line
     EXPECT_TRUE(sq.holdsLine(0x9003f));
@@ -196,13 +202,169 @@ TEST(StoreQueueTest, WhenEmptyFiresAfterDrain)
 {
     System sys(tinyConfig(DesignKind::NonAtomic), Addr(8) * 1024 * 1024);
     StoreQueue &sq = sys.core(0).storeQueue();
-    std::vector<std::uint8_t> payload(8, 1);
-    sq.push(0xa0000, payload, [] {});
+    const std::uint8_t payload[8] = {1, 1, 1, 1, 1, 1, 1, 1};
+    sq.push(0xa0000, payload, 8, [] {});
     bool drained = false;
     sq.whenEmpty([&] { drained = true; });
     EXPECT_FALSE(drained);
     sys.eventQueue().run();
     EXPECT_TRUE(drained);
+}
+
+/** An 8-byte little-endian store payload. */
+std::array<std::uint8_t, 8>
+word(std::uint64_t v)
+{
+    std::array<std::uint8_t, 8> b{};
+    std::memcpy(b.data(), &v, 8);
+    return b;
+}
+
+/** The 8-byte word at @p addr in core 0's L1 (the line must be
+ * resident). */
+std::uint64_t
+l1Word(System &sys, Addr addr)
+{
+    const CacheLineState *frame =
+        sys.l1(0).array().find(lineAlign(addr));
+    EXPECT_NE(frame, nullptr);
+    if (!frame)
+        return 0;
+    std::uint64_t v = 0;
+    std::memcpy(&v, frame->data.data() + (addr - lineAlign(addr)), 8);
+    return v;
+}
+
+TEST(StoreQueueTest, RingWrapsPastItsCapacity)
+{
+    // 10 stores through a 4-slot ring: every slot is reused at least
+    // twice, and each store still retires in order with its own data.
+    System sys(tinyConfig(DesignKind::NonAtomic, /*sq=*/4),
+               Addr(8) * 1024 * 1024);
+    StoreQueue &sq = sys.core(0).storeQueue();
+    std::vector<int> accepted;
+    for (int i = 0; i < 10; ++i) {
+        const auto bytes = word(100 + i);
+        sq.push(0xb0000 + Addr(i) * 8, bytes.data(), 8,
+                [&accepted, i] { accepted.push_back(i); });
+        EXPECT_LE(sq.occupancy(), 4u);
+    }
+    EXPECT_EQ(accepted.size(), 4u);  // the rest wait for free slots
+    sys.eventQueue().run();
+    EXPECT_TRUE(sq.empty());
+    ASSERT_EQ(accepted.size(), 10u);
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(accepted[i], i);
+        EXPECT_EQ(l1Word(sys, 0xb0000 + Addr(i) * 8), 100u + i);
+    }
+    EXPECT_EQ(sys.stats().value("core0", "stores_retired"), 10u);
+}
+
+TEST(StoreQueueTest, FullRetriesResumeInFifoOrderAndCountTheirWait)
+{
+    System sys(tinyConfig(DesignKind::NonAtomic, /*sq=*/2),
+               Addr(8) * 1024 * 1024);
+    EventQueue &eq = sys.eventQueue();
+    StoreQueue &sq = sys.core(0).storeQueue();
+    // Fill the SQ, then park three stores issued at different ticks.
+    std::vector<std::pair<int, Tick>> accepted;
+    auto push = [&](int i) {
+        const auto bytes = word(i);
+        sq.push(0xc0000 + Addr(i) * kLineBytes, bytes.data(), 8,
+                [&accepted, &eq, i] { accepted.emplace_back(i, eq.now()); });
+    };
+    push(0);
+    push(1);
+    const Tick t0 = eq.now();
+    push(2);
+    eq.run(t0 + 3);
+    const Tick t3 = eq.now();
+    push(3);
+    push(4);
+    ASSERT_EQ(accepted.size(), 2u);
+    eq.run();
+
+    ASSERT_EQ(accepted.size(), 5u);
+    std::uint64_t waited = 0;
+    const Tick parked_at[] = {0, 0, t0, t3, t3};
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(accepted[i].first, i);
+        if (i >= 2) {
+            EXPECT_GT(accepted[i].second, parked_at[i]);
+            waited += accepted[i].second - parked_at[i];
+        }
+    }
+    EXPECT_EQ(sq.fullCycles(), waited);
+    EXPECT_EQ(sys.stats().value("core0", "sq_full_cycles"), waited);
+}
+
+TEST(StoreQueueTest, SameLineStoresIssueInProgramOrderWhenDrainingWide)
+{
+    SystemConfig cfg = tinyConfig(DesignKind::NonAtomic, /*sq=*/8);
+    cfg.sqDrainWidth = 4;
+    System sys(cfg, Addr(8) * 1024 * 1024);
+    StoreQueue &sq = sys.core(0).storeQueue();
+    const Addr a = 0xd0000 + 8;
+    const Addr b = 0xd0040 + 8;
+    const std::uint64_t values[] = {1, 2, 3, 4};
+    const Addr addrs[] = {a, a, b, a};
+    for (int i = 0; i < 4; ++i) {
+        const auto bytes = word(values[i]);
+        sq.push(addrs[i], bytes.data(), 8, [] {});
+    }
+    // The wide drain issues the first store of each line at once; the
+    // younger stores to line a wait for the older one to complete.
+    EXPECT_EQ(sys.stats().value("l1c0", "stores"), 2u);
+    sys.eventQueue().run();
+    EXPECT_TRUE(sq.empty());
+    EXPECT_EQ(sys.stats().value("l1c0", "stores"), 4u);
+    EXPECT_EQ(l1Word(sys, a), 4u);  // program order: the last one wins
+    EXPECT_EQ(l1Word(sys, b), 3u);
+}
+
+TEST(StoreQueueTest, HoldsLineSeesEntriesAcrossTheWrapPoint)
+{
+    System sys(tinyConfig(DesignKind::NonAtomic, /*sq=*/4),
+               Addr(8) * 1024 * 1024);
+    StoreQueue &sq = sys.core(0).storeQueue();
+    const auto bytes = word(7);
+    // Advance the ring head to slot 3, then occupy slots 3, 0 and 1.
+    for (int i = 0; i < 3; ++i)
+        sq.push(0xe0000 + Addr(i) * kLineBytes, bytes.data(), 8, [] {});
+    sys.eventQueue().run();
+    ASSERT_TRUE(sq.empty());
+    sq.push(0xf0000, bytes.data(), 8, [] {});  // slot 3
+    sq.push(0xf0040, bytes.data(), 8, [] {});  // slot 0 (wrapped)
+    sq.push(0xf0080, bytes.data(), 8, [] {});  // slot 1
+    EXPECT_EQ(sq.occupancy(), 3u);
+    EXPECT_TRUE(sq.holdsLine(0xf0000));
+    EXPECT_TRUE(sq.holdsLine(0xf0078));
+    EXPECT_TRUE(sq.holdsLine(0xf00a0));
+    EXPECT_FALSE(sq.holdsLine(0xf00c0));
+    EXPECT_FALSE(sq.holdsLine(0xe0000));  // retired before the wrap
+    sys.eventQueue().run();
+    EXPECT_FALSE(sq.holdsLine(0xf0040));
+}
+
+TEST(StoreQueueTest, WhenEmptyFiresOnceAfterTheDrain)
+{
+    System sys(tinyConfig(DesignKind::NonAtomic, /*sq=*/2),
+               Addr(8) * 1024 * 1024);
+    StoreQueue &sq = sys.core(0).storeQueue();
+    const auto bytes = word(1);
+    for (int i = 0; i < 5; ++i)
+        sq.push(0x100000 + Addr(i) * 8, bytes.data(), 8, [] {});
+    int fired = 0;
+    sq.whenEmpty([&] { ++fired; });
+    sys.eventQueue().run();
+    EXPECT_EQ(fired, 1);
+    // A later drain does not re-fire a consumed waiter.
+    sq.push(0x100100, bytes.data(), 8, [] {});
+    sys.eventQueue().run();
+    EXPECT_EQ(fired, 1);
+    // On an empty queue, whenEmpty runs inline.
+    sq.whenEmpty([&] { ++fired; });
+    EXPECT_EQ(fired, 2);
 }
 
 TEST(AusPoolTest, StructuralOverflowStallsAndRecovers)

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "sim/addr_table.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -390,6 +392,47 @@ TEST(EventQueueTest, PoolReleasesBeforeCallbackRuns)
     eq.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(eq.poolAllocated(), 1u);
+}
+
+TEST(AddrTableTest, MatchesAReferenceMapUnderInsertEraseChurn)
+{
+    // Few distinct line addresses, many operations: long probe chains,
+    // wrap-around at the end of the slot array and backward-shift
+    // deletes in the middle of chains, checked against std::map.
+    AddrTable<std::uint64_t> table;
+    std::map<Addr, std::uint64_t> ref;
+    Random rng(17);
+    for (int op = 0; op < 20000; ++op) {
+        const Addr key = Addr(rng.below(300)) * 64;
+        if (rng.below(3) == 0) {
+            EXPECT_EQ(table.erase(key), ref.erase(key) == 1);
+        } else {
+            auto [value, inserted] = table.tryEmplace(key);
+            EXPECT_EQ(inserted, ref.count(key) == 0);
+            *value = std::uint64_t(op);
+            ref[key] = std::uint64_t(op);
+        }
+        ASSERT_EQ(table.size(), ref.size());
+    }
+    for (Addr key = 0; key < 300 * 64; key += 64) {
+        const std::uint64_t *value = table.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(value != nullptr, it != ref.end());
+        if (value)
+            EXPECT_EQ(*value, it->second);
+    }
+    std::size_t visited = 0;
+    table.forEach([&](Addr key, std::uint64_t value) {
+        EXPECT_EQ(ref.at(key), value);
+        ++visited;
+    });
+    EXPECT_EQ(visited, ref.size());
+
+    table.clear();
+    EXPECT_TRUE(table.empty());
+    EXPECT_FALSE(table.contains(64));
+    EXPECT_TRUE(table.insert(64));
+    EXPECT_FALSE(table.insert(64));
 }
 
 TEST(StatSetTest, CountersAccumulateAndReset)
