@@ -11,11 +11,12 @@
  * `--smoke` runs the CI subset: the 256-tile preset with 2 tenants and
  * skew on, plus the 1024-tile scaling gates -- System construction at
  * the 1024-tile preset must finish inside a generous wall budget with
- * O(1) amortized allocations per registered stat counter, and stat
- * dump/aggregation over the full 1024-tile counter population must
- * stay in bounds. These gates pin the fixes for the structures that
- * were O(cores^2)-ish at 1024 tiles (ordered-map stat registration,
- * the dense lookahead matrix); the binary exits non-zero if any gate
+ * O(1) amortized allocations per registered stat counter and bounded
+ * resident-memory growth, and stat dump/aggregation over the full
+ * 1024-tile counter population must stay in bounds. These gates pin
+ * the fixes for the structures that were O(cores^2)-ish at 1024 tiles
+ * (ordered-map stat registration, the dense lookahead matrix) and the
+ * per-frame cache footprint; the binary exits non-zero if any gate
  * fails.
  *
  * `--stats-json <path>` exports one row per run with a per-tenant
@@ -32,6 +33,9 @@
 #include <cstring>
 #include <new>
 #include <string>
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -169,12 +173,34 @@ runPoint(const SweepPoint &p)
     g_json.endObject();
 }
 
+/** Resident set size of this process in MB, or -1 when
+ * /proc/self/statm is unavailable. */
+double
+residentMb()
+{
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    if (!f)
+        return -1.0;
+    unsigned long long size = 0;
+    unsigned long long resident = 0;
+    const int n = std::fscanf(f, "%llu %llu", &size, &resident);
+    std::fclose(f);
+    if (n != 2)
+        return -1.0;
+    return double(resident) * double(sysconf(_SC_PAGESIZE)) /
+           (1024.0 * 1024.0);
+}
+
+/** Bound on the resident growth of building the 1024-tile System:
+ * the measured +52.8 MB rounded up. */
+constexpr double kBuildResidentMbBound = 60.0;
+
 /**
  * 1024-tile scaling gates: construction wall time, amortized
- * allocations per registered counter, and stat dump/aggregation time
- * over the full counter population. Budgets are deliberately generous
- * (CI machines vary); the pre-fix super-linear structures blew them by
- * orders of magnitude.
+ * allocations per registered counter, resident growth of the build,
+ * and stat dump/aggregation time over the full counter population.
+ * Time budgets are deliberately generous (CI machines vary); the
+ * pre-fix super-linear structures blew them by orders of magnitude.
  */
 bool
 scalingGates()
@@ -184,11 +210,16 @@ scalingGates()
 
     const SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
     const std::uint64_t a0 = g_allocCount.load();
+    // Hand the sweep's freed heap back first, so the growth below is
+    // this System's own footprint and not memory the allocator reuses.
+    malloc_trim(0);
+    const double rss0 = residentMb();
     const auto t0 = std::chrono::steady_clock::now();
     System sys(cfg, Addr(512) * 1024 * 1024);
     const auto t1 = std::chrono::steady_clock::now();
     const double build_s = std::chrono::duration<double>(t1 - t0).count();
     const std::uint64_t build_allocs = g_allocCount.load() - a0;
+    const double build_mb = residentMb() - rss0;
 
     const auto dump = std::as_const(sys).stats().dump();
     const std::uint64_t counters = dump.size();
@@ -210,6 +241,8 @@ scalingGates()
                 double(build_allocs) / double(counters));
     std::printf("stat dump: %.3f s; prefix aggregation: %.3f s\n",
                 dump_s, sum_s);
+    if (rss0 >= 0)
+        std::printf("construction resident growth: %+.1f MB\n", build_mb);
 
     if (build_s > 30.0) {
         std::printf("!! 1024-tile construction took %.1f s (> 30 s "
@@ -223,6 +256,15 @@ scalingGates()
     if (counters > 0 && build_allocs / counters > 512) {
         std::printf("!! %.0f allocations per registered counter\n",
                     double(build_allocs) / double(counters));
+        ok = false;
+    }
+    // Cache arrays keep a tag and a metadata frame per line and
+    // allocate line data only on install, so an unused 1024-tile
+    // machine stays small (+147 MB with inline line data per frame).
+    if (rss0 >= 0 && build_mb > kBuildResidentMbBound) {
+        std::printf("!! 1024-tile construction grew resident memory by "
+                    "%.1f MB (> %.0f MB bound)\n",
+                    build_mb, kBuildResidentMbBound);
         ok = false;
     }
     if (dump_s > 5.0 || sum_s > 5.0) {

@@ -7,6 +7,7 @@
 #define ATOMSIM_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cache/cache_line.hh"
@@ -21,6 +22,19 @@ namespace atomsim
  * The array indexes by line address; set index bits come right above
  * the line offset. Size and associativity must describe a power-of-two
  * set count.
+ *
+ * Memory follows the lines actually used, not the configured capacity:
+ *
+ *  - a dense tag store (one word per frame: `line | 1` when valid, 0
+ *    when invalid) is the only record of validity, so a lookup scans
+ *    assoc x 8 bytes;
+ *  - frames hold metadata only (state, dirty, log bit, pin, LRU stamp
+ *    and a line-data slot handle);
+ *  - a frame gets a line-data slot on its first install and keeps it
+ *    from then on, so a reinstalled frame still holds its old bytes
+ *    until a fill overwrites them. Slots come from per-array chunks
+ *    handed out in install order that double in size, so an array
+ *    allocates O(log frames) times over its life.
  */
 class CacheArray
 {
@@ -51,35 +65,86 @@ class CacheArray
 
     /**
      * Install @p line_addr in @p frame (which must come from victim()
-     * of the same set). Resets all metadata.
+     * of the same set). Resets all metadata; the line data keeps its
+     * previous bytes (zeroes on a frame's first install).
      */
     void install(CacheLineState *frame, Addr line_addr);
 
-    std::uint32_t numSets() const { return _numSets; }
-    std::uint32_t assoc() const { return _assoc; }
-
-    /** Iterate all valid lines (tests, crash handling, flush walks). */
-    template <typename Fn>
-    void
-    forEachValid(Fn &&fn)
-    {
-        for (auto &frame : _frames) {
-            if (frame.valid)
-                fn(frame);
-        }
-    }
+    /** Invalidate @p frame (metadata reset, line data kept). */
+    void invalidate(CacheLineState *frame);
 
     /** Invalidate every line (power failure). */
     void invalidateAll();
 
+    /** True when @p frame holds a line. */
+    bool
+    valid(const CacheLineState *frame) const
+    {
+        return _tags[index(frame)] != 0;
+    }
+
+    /** Line address held by valid @p frame. */
+    Addr
+    tag(const CacheLineState *frame) const
+    {
+        return _tags[index(frame)] & ~Addr(1);
+    }
+
+    /** Line data of @p frame (installed at least once). */
+    Line &
+    data(const CacheLineState *frame)
+    {
+        return slotData(frame->slot);
+    }
+
+    const Line &
+    data(const CacheLineState *frame) const
+    {
+        return const_cast<CacheArray *>(this)->slotData(frame->slot);
+    }
+
+    std::uint32_t numSets() const { return _numSets; }
+    std::uint32_t assoc() const { return _assoc; }
+
+    /** Line-data slots handed out: the distinct frames ever
+     * installed. */
+    std::uint32_t dataSlots() const { return _slotsUsed; }
+
+    /** Line-data slots allocated (used + spare in the last chunk). */
+    std::uint32_t dataCapacity() const { return _slotsAllocated; }
+
   private:
+    /** Chunk 0 holds 2^kChunk0Shift slots; chunk k >= 1 holds
+     * 2^(kChunk0Shift + k - 1), so slot s lives in chunk
+     * bit_width(s >> kChunk0Shift). */
+    static constexpr unsigned kChunk0Shift = 4;
+
     std::uint32_t setIndex(Addr line_addr) const;
+
+    std::size_t
+    index(const CacheLineState *frame) const
+    {
+        return std::size_t(frame - _frames.data());
+    }
+
+    Line &slotData(std::uint32_t slot);
+
+    /** Hand out the next line-data slot, growing by one chunk when
+     * the allocated ones are full. */
+    std::uint32_t newSlot();
+
+    /** Reset @p frame's metadata, keeping its line-data slot. */
+    static void resetMeta(CacheLineState *frame);
 
     std::uint32_t _numSets;
     std::uint32_t _assoc;
     std::uint32_t _indexDiv;
     std::uint64_t _stamp = 0;
+    std::vector<Addr> _tags;  //!< per frame: line | 1, or 0 (invalid)
     std::vector<CacheLineState> _frames;
+    std::vector<std::unique_ptr<Line[]>> _chunks;
+    std::uint32_t _slotsUsed = 0;
+    std::uint32_t _slotsAllocated = 0;
 };
 
 } // namespace atomsim

@@ -25,11 +25,16 @@ enum class CoherenceState : std::uint8_t
 
 const char *coherenceName(CoherenceState s);
 
-/** One cache line's bookkeeping + data. */
+/**
+ * One cache frame's metadata. The tag (and with it validity) and the
+ * line's bytes live in the owning CacheArray: ask it for tag(),
+ * valid() and data() of a frame.
+ */
 struct CacheLineState
 {
-    Addr tag = 0;               //!< line-aligned address
-    bool valid = false;
+    /** No line-data slot yet (the frame was never installed). */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+
     CoherenceState state = CoherenceState::Invalid;
     bool dirty = false;
     /**
@@ -45,25 +50,16 @@ struct CacheLineState
      * under contention.
      */
     bool pinned = false;
+    /** Handle of the frame's line data in its array, assigned on the
+     * first install and kept from then on. */
+    std::uint32_t slot = kNoSlot;
     std::uint64_t lruStamp = 0; //!< bigger = more recently used
-    Line data{};
-
-    void
-    reset()
-    {
-        valid = false;
-        state = CoherenceState::Invalid;
-        dirty = false;
-        logBit = false;
-        pinned = false;
-        lruStamp = 0;
-    }
 
     bool
     writable() const
     {
-        return valid && (state == CoherenceState::Modified ||
-                         state == CoherenceState::Exclusive);
+        return state == CoherenceState::Modified ||
+               state == CoherenceState::Exclusive;
     }
 };
 

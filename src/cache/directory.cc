@@ -8,7 +8,10 @@ namespace atomsim
 DirEntry &
 Directory::entry(Addr line_addr)
 {
-    return _entries[lineAlign(line_addr)];
+    auto [entry, inserted] = _entries.tryEmplace(lineAlign(line_addr));
+    if (inserted)
+        entry->sharers = SharerSet(&_spill);
+    return *entry;
 }
 
 void

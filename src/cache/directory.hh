@@ -25,6 +25,7 @@
 
 #include "sim/addr_table.hh"
 #include "sim/callback.hh"
+#include "sim/logging.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -36,17 +37,123 @@ namespace atomsim
 constexpr CoreId kNoCore = ~CoreId(0);
 
 /**
+ * The spill words of one directory's SharerSets: fixed-size blocks
+ * holding the sharer bits of core ids >= 64, recycled through an
+ * intrusive free list (a free block's first word links the next), so
+ * sets that spill and drain in steady state allocate nothing. Blocks
+ * are named by index; the backing store grows by doubling to the
+ * high-water number of spilled sets and never shrinks.
+ */
+class SharerSpill
+{
+  public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t(0);
+
+    /** Blocks sized for core ids below @p num_cores. */
+    explicit SharerSpill(std::uint32_t num_cores)
+        : _words(num_cores > 64 ? (num_cores - 1) / 64 : 0)
+    {
+    }
+
+    /** Words per block (core ids 64 .. 64 * (words + 1) - 1). */
+    std::uint32_t words() const { return _words; }
+
+    /** A zeroed block. */
+    std::uint32_t
+    acquire()
+    {
+        std::uint32_t blk;
+        if (_free != kNone) {
+            blk = _free;
+            _free = std::uint32_t(block(blk)[0]);
+            std::fill_n(block(blk), _words, 0);
+        } else {
+            blk = std::uint32_t(_store.size() / _words);
+            _store.resize(_store.size() + _words, 0);
+        }
+        ++_live;
+        return blk;
+    }
+
+    void
+    release(std::uint32_t blk)
+    {
+        block(blk)[0] = _free;
+        _free = blk;
+        --_live;
+    }
+
+    std::uint64_t *
+    block(std::uint32_t blk)
+    {
+        return _store.data() + std::size_t(blk) * _words;
+    }
+
+    const std::uint64_t *
+    block(std::uint32_t blk) const
+    {
+        return _store.data() + std::size_t(blk) * _words;
+    }
+
+    /** Blocks held by sets right now (tests). */
+    std::size_t live() const { return _live; }
+
+    /** Blocks ever created (tests: the high-water mark). */
+    std::size_t
+    created() const
+    {
+        return _words ? _store.size() / _words : 0;
+    }
+
+  private:
+    std::uint32_t _words;
+    std::vector<std::uint64_t> _store;
+    std::uint32_t _free = kNone;
+    std::size_t _live = 0;
+};
+
+/**
  * A set of sharing cores, scaled past 64.
  *
- * The historical representation was a bare uint64_t indexed by core
- * id, which shifts out of range (and would alias invalidations) on the
- * 256-/1024-core presets. Word 0 stays inline, so machines up to 64
- * cores keep the allocation-free fast path bit-for-bit; larger core
- * ids spill into heap words on first set().
+ * Word 0 stays inline, so machines up to 64 cores keep the
+ * allocation-free fast path bit-for-bit. The bits of core ids >= 64
+ * live in one block of a SharerSpill, taken on the first such set()
+ * and returned by reset() or destruction; a set built without a spill
+ * holds core ids < 64 only. Sets move but do not copy (a moved-from
+ * set is empty and keeps its spill).
  */
 class SharerSet
 {
   public:
+    SharerSet() = default;
+    explicit SharerSet(SharerSpill *spill) : _spill(spill) {}
+
+    SharerSet(SharerSet &&other) noexcept
+        : _w0(other._w0), _spill(other._spill), _blk(other._blk)
+    {
+        other._w0 = 0;
+        other._blk = SharerSpill::kNone;
+    }
+
+    SharerSet &
+    operator=(SharerSet &&other) noexcept
+    {
+        if (this != &other) {
+            dropBlock();
+            _w0 = other._w0;
+            _spill = other._spill;
+            _blk = other._blk;
+            other._w0 = 0;
+            other._blk = SharerSpill::kNone;
+        }
+        return *this;
+    }
+
+    SharerSet(const SharerSet &) = delete;
+    SharerSet &operator=(const SharerSet &) = delete;
+
+    ~SharerSet() { dropBlock(); }
+
     void
     set(CoreId core)
     {
@@ -54,10 +161,12 @@ class SharerSet
             _w0 |= std::uint64_t(1) << core;
             return;
         }
-        const std::size_t w = core / 64;
-        if (_hi.size() < w)
-            _hi.resize(w, 0);
-        _hi[w - 1] |= std::uint64_t(1) << (core % 64);
+        panic_if(!_spill || core / 64 > _spill->words(),
+                 "core %u does not fit this sharer set", core);
+        if (_blk == SharerSpill::kNone)
+            _blk = _spill->acquire();
+        _spill->block(_blk)[core / 64 - 1] |= std::uint64_t(1)
+                                              << (core % 64);
     }
 
     /** Remove @p core (no-op when absent). */
@@ -68,9 +177,9 @@ class SharerSet
             _w0 &= ~(std::uint64_t(1) << core);
             return;
         }
-        const std::size_t w = core / 64;
-        if (w <= _hi.size())
-            _hi[w - 1] &= ~(std::uint64_t(1) << (core % 64));
+        if (_blk != SharerSpill::kNone && core / 64 <= _spill->words())
+            _spill->block(_blk)[core / 64 - 1] &=
+                ~(std::uint64_t(1) << (core % 64));
     }
 
     bool
@@ -78,35 +187,30 @@ class SharerSet
     {
         if (core < 64)
             return (_w0 >> core) & 1;
-        const std::size_t w = core / 64;
-        return w <= _hi.size() && ((_hi[w - 1] >> (core % 64)) & 1);
+        return _blk != SharerSpill::kNone &&
+               core / 64 <= _spill->words() &&
+               ((_spill->block(_blk)[core / 64 - 1] >> (core % 64)) & 1);
     }
 
-    /** Empty the set (spilled capacity is kept for reuse). */
+    /** Empty the set (its spill block goes back to the spill). */
     void
     reset()
     {
         _w0 = 0;
-        std::fill(_hi.begin(), _hi.end(), 0);
+        dropBlock();
     }
 
-    bool
-    none() const
-    {
-        if (_w0)
-            return false;
-        for (std::uint64_t w : _hi)
-            if (w)
-                return false;
-        return true;
-    }
+    bool none() const { return count() == 0; }
 
     std::uint32_t
     count() const
     {
         std::uint32_t n = std::uint32_t(__builtin_popcountll(_w0));
-        for (std::uint64_t w : _hi)
-            n += std::uint32_t(__builtin_popcountll(w));
+        if (_blk != SharerSpill::kNone) {
+            const std::uint64_t *hi = _spill->block(_blk);
+            for (std::uint32_t w = 0; w < _spill->words(); ++w)
+                n += std::uint32_t(__builtin_popcountll(hi[w]));
+        }
         return n;
     }
 
@@ -117,9 +221,42 @@ class SharerSet
         return count() > (test(core) ? 1u : 0u);
     }
 
+    /** Visit every member in ascending core-id order. Each word is
+     * read before its members are visited, so @p fn may grow the
+     * spill (set() on another set). */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        visitWord(_w0, 0, fn);
+        for (std::uint32_t w = 0;
+             _blk != SharerSpill::kNone && w < _spill->words(); ++w)
+            visitWord(_spill->block(_blk)[w], CoreId(64 * (w + 1)), fn);
+    }
+
   private:
+    template <typename Fn>
+    static void
+    visitWord(std::uint64_t bits, CoreId base, Fn &fn)
+    {
+        while (bits) {
+            fn(CoreId(base + CoreId(__builtin_ctzll(bits))));
+            bits &= bits - 1;
+        }
+    }
+
+    void
+    dropBlock()
+    {
+        if (_blk != SharerSpill::kNone) {
+            _spill->release(_blk);
+            _blk = SharerSpill::kNone;
+        }
+    }
+
     std::uint64_t _w0 = 0;
-    std::vector<std::uint64_t> _hi;  //!< words for cores >= 64
+    SharerSpill *_spill = nullptr;
+    std::uint32_t _blk = SharerSpill::kNone;  //!< words for cores >= 64
 };
 
 /** Directory entry for one line homed at a tile. */
@@ -142,6 +279,10 @@ struct DirEntry
 class Directory
 {
   public:
+    /** A directory for a machine of @p num_cores cores (sizes the
+     * sharer sets' spill blocks). */
+    explicit Directory(std::uint32_t num_cores = 64) : _spill(num_cores) {}
+
     /** Inline capacity of a queued transaction: the flush handler's
      * this + addr + flags + a 64-byte line. */
     static constexpr std::size_t kTxnBytes = 104;
@@ -189,6 +330,9 @@ class Directory
     /** Current live control blocks (tests). */
     std::size_t liveCtl() const { return _ctl.size(); }
 
+    /** Sharer-set spill blocks (tests). */
+    const SharerSpill &spill() const { return _spill; }
+
     /** Directory entry for @p line_addr (created on demand). The
      * reference is valid until the next entry() or erase() (the
      * entries live in a flat table). */
@@ -228,6 +372,9 @@ class Directory
 
     void releaseWaiter(Waiter *w);
 
+    /** Declared before _entries: the entries' sharer sets return
+     * their blocks here when destroyed. */
+    SharerSpill _spill;
     AddrTable<DirEntry> _entries;
     /** Cached across acquire/release (busy=false when idle) so hot
      * lines skip the table insert; bounded by _idleCap. */

@@ -103,9 +103,9 @@ L1Cache::releaseFlush(PendingFlush *pf)
 void
 L1Cache::evictFrame(CacheLineState *frame)
 {
-    if (!frame->valid)
+    if (!_array.valid(frame))
         return;
-    const Addr vaddr = frame->tag;
+    const Addr vaddr = _array.tag(frame);
     if (frame->dirty) {
         // Split-phase writeback: park the data in the writeback buffer
         // (freed by the home's WbAck) and ship a real PutM through the
@@ -116,7 +116,7 @@ L1Cache::evictFrame(CacheLineState *frame)
         _statWritebacks.inc();
         PendingPutM *wb = _wbPool.acquire();
         wb->line = vaddr;
-        wb->data = frame->data;
+        wb->data = _array.data(frame);
         wb->next = nullptr;
         if (_wbTail)
             _wbTail->next = wb;
@@ -130,13 +130,13 @@ L1Cache::evictFrame(CacheLineState *frame)
         p.receiver = _tiles[home].get();
         p.core = _core;
         p.addr = vaddr;
-        p.data = frame->data;
+        p.data = _array.data(frame);
         _mesh.send(myNode(), _mesh.tileNode(home), p);
     }
     // Clean lines drop silently; the log bit is volatile and is lost
     // with the line (the paper re-logs on the next write; recovery
     // applies undo records newest-first so duplicates are safe).
-    frame->reset();
+    _array.invalidate(frame);
 }
 
 L1Cache::PendingPutM *
@@ -198,9 +198,8 @@ L1Cache::startMiss(Addr addr, bool exclusive,
 
     // Upgrade when we already hold the line Shared.
     CacheLineState *frame = _array.find(line);
-    const bool upgrade = !exclusive ? false
-                         : (frame && frame->valid &&
-                            frame->state == CoherenceState::Shared);
+    const bool upgrade = exclusive && frame &&
+                         frame->state == CoherenceState::Shared;
 
     MsgType req = exclusive ? (upgrade ? MsgType::Upgrade : MsgType::GetX)
                             : MsgType::GetS;
@@ -288,11 +287,10 @@ L1Cache::handleFwdGetS(CoreId requester, Addr line)
     bool has = false;
     bool was_dirty = false;
     Line data{};
-    if (CacheLineState *frame = _array.find(line);
-        frame && frame->valid) {
+    if (CacheLineState *frame = _array.find(line)) {
         has = true;
         was_dirty = frame->dirty;
-        data = frame->data;
+        data = _array.data(frame);
         frame->state = CoherenceState::Shared;
         frame->dirty = false;
     } else if (PendingPutM *wb = findWb(line)) {
@@ -355,16 +353,15 @@ L1Cache::fillArrived(Addr addr, const FillResult &result)
         frame = _array.victim(line);
         evictFrame(frame);
         _array.install(frame, line);
-        frame->data = result.data;
+        _array.data(frame) = result.data;
     } else {
         // Upgrade fill: keep our copy only if we stayed Shared; an
         // invalidation may have raced the upgrade, making the response
         // data authoritative.
-        if (frame->state == CoherenceState::Invalid || !frame->valid)
-            frame->data = result.data;
+        if (frame->state == CoherenceState::Invalid)
+            _array.data(frame) = result.data;
         _array.touch(line);
     }
-    frame->valid = true;
     frame->state = result.grant;
     if (result.logged)
         frame->logBit = true;
@@ -378,8 +375,7 @@ L1Cache::load(Addr addr, Callback done)
 {
     _statLoads.inc();
     after(_cfg.l1Latency, [this, addr, done = std::move(done)]() mutable {
-        CacheLineState *frame = _array.touch(addr);
-        if (frame && frame->valid) {
+        if (_array.touch(addr)) {
             done();
             return;
         }
@@ -404,8 +400,7 @@ L1Cache::load(Addr addr, Callback done)
                   [this, addr, done = std::move(done)]() mutable {
                       // Line present now (fills run waiters right after
                       // install); complete the load.
-                      CacheLineState *fr = _array.touch(addr);
-                      if (fr && fr->valid) {
+                      if (_array.touch(addr)) {
                           done();
                       } else {
                           // Evicted before we ran: retry from scratch.
@@ -439,7 +434,7 @@ void
 L1Cache::finishStore(PendingStore *ps)
 {
     CacheLineState *frame = _array.touch(ps->addr);
-    if (!frame || !frame->valid || !frame->writable()) {
+    if (!frame || !frame->writable()) {
         _statStoreMisses.inc();
         startMiss(ps->addr, true, [this, ps] { finishStore(ps); });
         return;
@@ -456,7 +451,7 @@ L1Cache::finishStore(PendingStore *ps)
             // and force a wasteful refetch + duplicate log entry.
             _statLogRequests.inc();
             frame->pinned = true;
-            const Line old_value = frame->data;
+            const Line old_value = _array.data(frame);
             const Addr line = lineAlign(ps->addr);
             _logger->onFirstWrite(_core, line, old_value,
                                   [this, ps, epoch = _epoch] {
@@ -471,8 +466,9 @@ L1Cache::finishStore(PendingStore *ps)
             // is the line's coherent pre-store image -- the logger
             // captures it here (merging the store's bytes) rather
             // than chasing the line through the hierarchy later.
-            _logger->onStore(_core, lineAlign(ps->addr), frame->data,
-                             std::uint32_t(ps->addr - frame->tag),
+            _logger->onStore(_core, lineAlign(ps->addr),
+                             _array.data(frame),
+                             std::uint32_t(ps->addr - _array.tag(frame)),
                              ps->bytes.data(), ps->size,
                              [this, ps, epoch = _epoch] {
                                  if (epoch == _epoch)
@@ -511,7 +507,7 @@ L1Cache::applyStore(PendingStore *ps, bool set_log_bit)
 {
     // Re-find: the frame may have moved/evicted while logging.
     CacheLineState *fr = _array.find(ps->addr);
-    if (!fr || !fr->valid || !fr->writable()) {
+    if (!fr || !fr->writable()) {
         // Lost permission while waiting on the logger (rare): the
         // log entry exists, so redo the access. The fresh log request
         // that may result is matched against the AUS's already-logged
@@ -522,8 +518,8 @@ L1Cache::applyStore(PendingStore *ps, bool set_log_bit)
         finishStore(ps);
         return;
     }
-    const std::size_t off = ps->addr - fr->tag;
-    std::memcpy(fr->data.data() + off, ps->bytes.data(), ps->size);
+    const std::size_t off = ps->addr - _array.tag(fr);
+    std::memcpy(_array.data(fr).data() + off, ps->bytes.data(), ps->size);
     fr->state = CoherenceState::Modified;
     fr->dirty = true;
     if (set_log_bit)
@@ -541,12 +537,12 @@ L1Cache::flush(Addr addr, Callback done)
         CacheLineState *frame = _array.find(line);
         bool has_data = false;
         Line data{};
-        if (frame && frame->valid && frame->dirty) {
+        if (frame && frame->dirty) {
             has_data = true;
-            data = frame->data;
+            data = _array.data(frame);
             frame->dirty = false;   // NVM will hold this value
             frame->logBit = false;  // durably written: clear log bit
-        } else if (frame && frame->valid) {
+        } else if (frame) {
             frame->logBit = false;
         }
         // Park the completion; the home tile's FlushAck resumes it.
@@ -598,7 +594,7 @@ L1Cache::whenUnpinned(Addr addr, Callback action)
 {
     const Addr line = lineAlign(addr);
     CacheLineState *frame = _array.find(line);
-    if (frame && frame->valid && frame->pinned) {
+    if (frame && frame->pinned) {
         UnpinWaiter *w = _unpinPool.acquire();
         w->action = std::move(action);
         _unpinWaiters[line].push(w);
@@ -610,10 +606,9 @@ L1Cache::whenUnpinned(Addr addr, Callback action)
 std::optional<std::pair<Line, bool>>
 L1Cache::surrenderLine(Addr addr)
 {
-    CacheLineState *frame = _array.find(addr);
-    if (frame && frame->valid) {
-        auto result = std::make_pair(frame->data, frame->dirty);
-        frame->reset();
+    if (CacheLineState *frame = _array.find(addr)) {
+        auto result = std::make_pair(_array.data(frame), frame->dirty);
+        _array.invalidate(frame);
         return result;
     }
     // Not resident -- but a writeback of it may still be in flight, in
@@ -627,9 +622,8 @@ L1Cache::surrenderLine(Addr addr)
 void
 L1Cache::invalidateLine(Addr addr)
 {
-    CacheLineState *frame = _array.find(addr);
-    if (frame && frame->valid)
-        frame->reset();
+    if (CacheLineState *frame = _array.find(addr))
+        _array.invalidate(frame);
 }
 
 void

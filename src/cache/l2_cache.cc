@@ -16,6 +16,7 @@ L2Tile::L2Tile(std::uint32_t tile_id, EventQueue &eq,
       _amap(amap),
       _stats(stats),
       _array(cfg.l2TileBytes, cfg.l2Assoc, cfg.l2Tiles),
+      _dir(cfg.numCores),
       _statHits(stats.counter("l2t" + std::to_string(tile_id), "hits")),
       _statMisses(stats.counter("l2t" + std::to_string(tile_id),
                                 "misses")),
@@ -184,15 +185,13 @@ L2Tile::startRound(Addr line, CoreId owner, const SharerSet &sharers,
         p.addr = line;
         _mesh.send(_mesh.tileNode(_tileId), _mesh.coreNode(owner), p);
     }
-    for (CoreId c = 0; c < _l1s.size(); ++c) {
-        if (!sharers.test(c))
-            continue;
+    sharers.forEach([this, line](CoreId c) {
         Packet &p = _mesh.make(MsgType::Inv);
         p.receiver = _l1s[c];
         p.core = c;
         p.addr = line;
         _mesh.send(_mesh.tileNode(_tileId), _mesh.coreNode(c), p);
-    }
+    });
 }
 
 void
@@ -235,7 +234,7 @@ L2Tile::evictThen(CacheLineState *frame, PendingFill *pf)
     // the L2 -- a split-phase round under the victim's busy bit. The
     // frame is pinned so concurrent fills to the set pick other ways
     // (or park until this eviction completes).
-    const Addr vaddr = frame->tag;
+    const Addr vaddr = _array.tag(frame);
     frame->pinned = true;
     _dir.acquire(vaddr, Directory::Txn([this, frame, vaddr, pf] {
         DirEntry &vdir = _dir.entry(vaddr);
@@ -247,8 +246,9 @@ L2Tile::evictThen(CacheLineState *frame, PendingFill *pf)
             _statRecalls.inc();
         startRound(vaddr, owner, sharers,
                    [this, frame, vaddr, pf](Round &r) {
+            Line &vdata = _array.data(frame);
             if (r.gotDirty) {
-                frame->data = r.data;
+                vdata = r.data;
                 frame->dirty = true;
             }
             _statEvictions.inc();
@@ -257,9 +257,9 @@ L2Tile::evictThen(CacheLineState *frame, PendingFill *pf)
                     // REDO: dirty evictions park in the victim cache
                     // so NVM in-place data stays pristine until
                     // applied.
-                    _victims->put(vaddr, frame->data);
+                    _victims->put(vaddr, vdata);
                 } else {
-                    writeThrough(vaddr, frame->data, WriteKind::DataWb,
+                    writeThrough(vaddr, vdata, WriteKind::DataWb,
                                  AckCallback{});
                 }
             }
@@ -339,7 +339,7 @@ L2Tile::onMemFill(CoreId core, Addr addr, const Line &data, bool logged,
 {
     const Addr line = lineAlign(addr);
     CacheLineState *frame = _array.victim(line);
-    if (!frame->valid) {
+    if (!_array.valid(frame)) {
         finishFill(frame, core, line, data, logged, exclusive);
         return;
     }
@@ -370,8 +370,7 @@ L2Tile::finishFill(CacheLineState *frame, CoreId core, Addr line,
                    const Line &data, bool logged, bool exclusive)
 {
     _array.install(frame, line);
-    frame->data = data;
-    frame->dirty = false;
+    _array.data(frame) = data;
     DirEntry &dir = _dir.entry(line);
     dir.owner = core;
     if (exclusive)
@@ -391,7 +390,8 @@ L2Tile::grantExclusive(CoreId requester, Addr line)
     CacheLineState *fr = _array.find(line);
     panic_if(!fr, "L2 lost line during busy txn");
     respondFill(requester, line, MsgType::DataExcl,
-                FillResult{fr->data, CoherenceState::Modified, false});
+                FillResult{_array.data(fr), CoherenceState::Modified,
+                           false});
     _dir.release(line);
 }
 
@@ -438,7 +438,7 @@ L2Tile::handleGetS(CoreId core, Addr addr)
                 else
                     dir.sharers.set(core);
                 respondFill(core, line, MsgType::Data,
-                            FillResult{frame->data, grant, false});
+                            FillResult{_array.data(frame), grant, false});
                 _dir.release(line);
                 return;
             }
@@ -463,7 +463,7 @@ L2Tile::onFwdAckS(const Packet &pkt)
     CacheLineState *fr = _array.find(line);
     panic_if(!fr, "L2 lost line during busy txn");
     if (pkt.flag && pkt.dirty) {
-        fr->data = pkt.data;
+        _array.data(fr) = pkt.data;
         fr->dirty = true;
     }
     DirEntry &dir = _dir.entry(line);
@@ -471,7 +471,8 @@ L2Tile::onFwdAckS(const Packet &pkt)
     dir.sharers.set(owner);
     dir.sharers.set(requester);
     respondFill(requester, line, MsgType::Data,
-                FillResult{fr->data, CoherenceState::Shared, false});
+                FillResult{_array.data(fr), CoherenceState::Shared,
+                           false});
     _dir.release(line);
 }
 
@@ -489,7 +490,7 @@ L2Tile::handleGetX(CoreId core, Addr addr, bool in_atomic)
                     // The "owner" silently dropped a clean Exclusive
                     // copy and re-missed: re-grant from the L2 copy.
                     respondFill(core, line, MsgType::DataExcl,
-                                FillResult{frame->data,
+                                FillResult{_array.data(frame),
                                            CoherenceState::Modified,
                                            false});
                     _dir.release(line);
@@ -538,14 +539,15 @@ L2Tile::onFwdAckX(const Packet &pkt)
     CacheLineState *fr = _array.find(line);
     panic_if(!fr, "L2 lost line during busy txn");
     if (pkt.flag && pkt.dirty) {
-        fr->data = pkt.data;
+        _array.data(fr) = pkt.data;
         fr->dirty = true;
     }
     DirEntry &dir = _dir.entry(line);
     dir.owner = requester;
     dir.sharers.reset();
     respondFill(requester, line, MsgType::DataExcl,
-                FillResult{fr->data, CoherenceState::Modified, false});
+                FillResult{_array.data(fr), CoherenceState::Modified,
+                           false});
     _dir.release(line);
 }
 
@@ -601,7 +603,7 @@ L2Tile::handlePutM(CoreId core, Addr addr, const Line &data)
             panic_if(!frame,
                      "PutM from the tracked owner but the line left "
                      "the L2");
-            frame->data = data;
+            _array.data(frame) = data;
             frame->dirty = true;
             dir.owner = kNoCore;
         }
@@ -634,7 +636,7 @@ L2Tile::handleFlush(CoreId core, Addr addr, bool has_data,
                             data](Round &r) {
                     CacheLineState *frame = _array.find(line);
                     if (frame && r.gotDirty) {
-                        frame->data = r.data;
+                        _array.data(frame) = r.data;
                         frame->dirty = true;
                     }
                     finishFlush(core, line, has_data, data, true);
@@ -655,15 +657,15 @@ L2Tile::finishFlush(CoreId core, Addr line, bool has_data,
     // Freshest data wins: recalled owner copy > flusher > L2 copy.
     const Line *to_write = nullptr;
     if (owner_recalled && frame && frame->dirty)
-        to_write = &frame->data;
+        to_write = &_array.data(frame);
     if (!to_write && has_data)
         to_write = &data;
     if (!to_write && frame && frame->dirty)
-        to_write = &frame->data;
+        to_write = &_array.data(frame);
 
     if (to_write) {
         if (frame) {
-            frame->data = *to_write;
+            _array.data(frame) = *to_write;
             frame->dirty = false;  // NVM copy now matches
         }
         writeThrough(line, *to_write, WriteKind::Flush,

@@ -10,9 +10,8 @@ namespace atomsim
 const DataImage::Page *
 DataImage::findPage(Addr page_num) const
 {
-    const auto &stripe = _stripes[page_num % kStripes];
-    auto it = stripe.find(page_num);
-    return it == stripe.end() ? nullptr : it->second.get();
+    const auto *slot = _stripes[page_num % kStripes].find(page_num);
+    return slot ? slot->get() : nullptr;
 }
 
 DataImage::Page &
@@ -88,10 +87,10 @@ DataImage::clone() const
 {
     DataImage copy;
     for (std::uint32_t s = 0; s < kStripes; ++s) {
-        for (const auto &[num, page] : _stripes[s]) {
-            auto dup = std::make_unique<Page>(*page);
-            copy._stripes[s].emplace(num, std::move(dup));
-        }
+        _stripes[s].forEach(
+            [&](Addr num, const std::unique_ptr<Page> &page) {
+                copy._stripes[s][num] = std::make_unique<Page>(*page);
+            });
     }
     return copy;
 }

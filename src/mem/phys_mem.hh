@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 
+#include "sim/addr_table.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -42,7 +42,9 @@ constexpr std::uint32_t kPageShift = 12;
  * page p -- data, log bucket and ADR alike -- to MC p % numMemCtrls),
  * controller m only ever touches stripes congruent to m, so in sharded
  * runs concurrent MC domains never share an index structure and need
- * no locks. Within one stripe the image is single-writer.
+ * no locks. Within one stripe the image is single-writer. Each stripe
+ * is a flat AddrTable keyed by page number, so materializing a page
+ * costs one allocation (the page itself) plus amortized table growth.
  */
 class DataImage
 {
@@ -131,8 +133,7 @@ class DataImage
     const Page *findPage(Addr page_num) const;
     Page &touchPage(Addr page_num);
 
-    std::array<std::unordered_map<Addr, std::unique_ptr<Page>>,
-               kStripes> _stripes;
+    std::array<AddrTable<std::unique_ptr<Page>>, kStripes> _stripes;
 };
 
 } // namespace atomsim

@@ -262,8 +262,10 @@ SystemConfig::makeMeshPreset(std::uint32_t tiles)
         cfg.meshRows = 32;
         cfg.numMemCtrls = 16;
         // Keep the host footprint bounded at 1024 tiles: smaller L2
-        // slices (the line-state map dominates resident memory) and a
-        // narrow calendar wheel per domain (2064 domains x buckets).
+        // slices (each frame still costs a tag and a metadata word
+        // pair, 24 B, even though line data is allocated only on
+        // install) and a narrow calendar wheel per domain (2064
+        // domains x buckets).
         cfg.l2TileBytes = 64 * 1024;
         cfg.wheelBuckets = 256;
         break;

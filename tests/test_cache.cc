@@ -6,25 +6,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bitset>
+#include <cstring>
+#include <map>
+#include <set>
 #include <utility>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "cache/directory.hh"
 #include "cache/mshr.hh"
 #include "harness/system.hh"
 #include "net/mesh.hh"
+#include "sim/random.hh"
 
 namespace atomsim
 {
 namespace
 {
 
+/** The 8-byte word at byte @p off of @p frame's line in @p arr. */
+std::uint64_t
+lineWord(const CacheArray &arr, const CacheLineState *frame,
+         std::size_t off)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, arr.data(frame).data() + off, 8);
+    return v;
+}
+
 TEST(CacheArrayTest, InstallAndFind)
 {
     CacheArray arr(4 * 1024, 4);  // 16 sets
     CacheLineState *victim = arr.victim(0x1000);
     ASSERT_NE(victim, nullptr);
-    EXPECT_FALSE(victim->valid);
+    EXPECT_FALSE(arr.valid(victim));
     arr.install(victim, 0x1000);
     EXPECT_EQ(arr.find(0x1000), victim);
     EXPECT_EQ(arr.find(0x1020), victim);  // same line
@@ -41,8 +58,8 @@ TEST(CacheArrayTest, LruVictimSelection)
     // Touch line 0 so line 1 becomes LRU.
     arr.touch(0);
     CacheLineState *victim = arr.victim(4 * stride);
-    ASSERT_TRUE(victim->valid);
-    EXPECT_EQ(victim->tag, stride);  // line 1 was least recently used
+    ASSERT_TRUE(arr.valid(victim));
+    EXPECT_EQ(arr.tag(victim), stride);  // line 1 was least recently used
 }
 
 TEST(CacheArrayTest, InvalidFramePreferredOverLru)
@@ -52,7 +69,7 @@ TEST(CacheArrayTest, InvalidFramePreferredOverLru)
     for (int i = 0; i < 3; ++i)
         arr.install(arr.victim(i * stride), i * stride);
     CacheLineState *victim = arr.victim(7 * stride);
-    EXPECT_FALSE(victim->valid);
+    EXPECT_FALSE(arr.valid(victim));
 }
 
 TEST(CacheArrayTest, InvalidateAllClearsState)
@@ -61,6 +78,389 @@ TEST(CacheArrayTest, InvalidateAllClearsState)
     arr.install(arr.victim(0x40), 0x40);
     arr.invalidateAll();
     EXPECT_EQ(arr.find(0x40), nullptr);
+}
+
+/**
+ * The array-of-structs layout CacheArray replaced: every frame carries
+ * its tag, valid bit, pin, LRU stamp and line data inline. The
+ * differential test below holds the compact array to it.
+ */
+class ReferenceArray
+{
+  public:
+    ReferenceArray(std::uint32_t size_bytes, std::uint32_t assoc,
+                   std::uint32_t index_div)
+        : _assoc(assoc), _indexDiv(index_div),
+          _numSets(size_bytes / kLineBytes / assoc),
+          _frames(size_bytes / kLineBytes)
+    {
+    }
+
+    struct Frame
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool pinned = false;
+        bool everInstalled = false;
+        std::uint64_t lruStamp = 0;
+        Line data{};
+
+        void
+        reset()
+        {
+            valid = false;
+            pinned = false;
+            lruStamp = 0;
+        }
+    };
+
+    /** Frame index holding @p line, or -1. */
+    int
+    find(Addr line) const
+    {
+        const std::size_t base = setBase(line);
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            const Frame &f = _frames[base + w];
+            if (f.valid && f.tag == line)
+                return int(base + w);
+        }
+        return -1;
+    }
+
+    int
+    touch(Addr line)
+    {
+        const int i = find(line);
+        if (i >= 0)
+            _frames[i].lruStamp = ++_stamp;
+        return i;
+    }
+
+    int
+    victim(Addr line) const
+    {
+        const std::size_t base = setBase(line);
+        int lru = -1;
+        int lru_any = -1;
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            const int i = int(base + w);
+            const Frame &f = _frames[i];
+            if (!f.valid)
+                return i;
+            if (!f.pinned &&
+                (lru < 0 || f.lruStamp < _frames[lru].lruStamp))
+                lru = i;
+            if (lru_any < 0 || f.lruStamp < _frames[lru_any].lruStamp)
+                lru_any = i;
+        }
+        return lru >= 0 ? lru : lru_any;
+    }
+
+    void
+    install(int i, Addr line)
+    {
+        Frame &f = _frames[i];
+        f.reset();
+        f.tag = line;
+        f.valid = true;
+        f.everInstalled = true;
+        f.lruStamp = ++_stamp;
+    }
+
+    Frame &frame(int i) { return _frames[i]; }
+
+  private:
+    std::size_t
+    setBase(Addr line) const
+    {
+        return std::size_t((lineNumber(line) / _indexDiv) &
+                           (_numSets - 1)) * _assoc;
+    }
+
+    std::uint32_t _assoc;
+    std::uint32_t _indexDiv;
+    std::uint32_t _numSets;
+    std::uint64_t _stamp = 0;
+    std::vector<Frame> _frames;
+};
+
+/** A line of bytes drawn from @p rng. */
+Line
+randomLine(Random &rng)
+{
+    Line line;
+    for (auto &b : line)
+        b = std::uint8_t(rng.next());
+    return line;
+}
+
+/** Drive CacheArray and ReferenceArray with @p ops random operations
+ * and require identical answers at every step. */
+void
+runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
+                std::uint32_t index_div, std::uint32_t distinct_lines,
+                int ops, std::uint64_t seed)
+{
+    CacheArray arr(size_bytes, assoc, index_div);
+    ReferenceArray ref(size_bytes, assoc, index_div);
+    // Frame identity: the compact frame standing for each reference
+    // index must never change.
+    std::map<const CacheLineState *, int> idx_of;
+    auto same_frame = [&](const CacheLineState *f, int i) {
+        if (!f || i < 0)
+            return f == nullptr && i < 0;
+        auto [it, fresh] = idx_of.emplace(f, i);
+        return it->second == i;
+    };
+    auto same_data = [&](const CacheLineState *f, int i) {
+        return !ref.frame(i).everInstalled ||
+               arr.data(f) == ref.frame(i).data;
+    };
+
+    Random rng(seed);
+    std::uint32_t reinstalls_elsewhere = 0;
+    std::map<Addr, int> last_frame;  // line -> frame it last occupied
+    for (int op = 0; op < ops; ++op) {
+        const Addr line = Addr(rng.below(distinct_lines)) * kLineBytes;
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 30) {
+            // Lookup, with or without an LRU update.
+            const bool lru = rng.chance(0.5);
+            CacheLineState *f = lru ? arr.touch(line) : arr.find(line);
+            const int i = lru ? ref.touch(line) : ref.find(line);
+            ASSERT_TRUE(same_frame(f, i)) << "op " << op;
+            if (f) {
+                ASSERT_EQ(arr.tag(f), line);
+                ASSERT_TRUE(same_data(f, i)) << "op " << op;
+            }
+        } else if (kind < 65) {
+            // Miss handling: install into the victim unless resident.
+            // Most installs are followed by a fill; the rest keep the
+            // frame's previous bytes.
+            if (arr.find(line)) {
+                ASSERT_GE(ref.find(line), 0);
+                continue;
+            }
+            ASSERT_LT(ref.find(line), 0);
+            CacheLineState *f = arr.victim(line);
+            const int i = ref.victim(line);
+            ASSERT_TRUE(same_frame(f, i)) << "op " << op;
+            ASSERT_EQ(arr.valid(f), ref.frame(i).valid);
+            if (arr.valid(f)) {
+                ASSERT_EQ(arr.tag(f), ref.frame(i).tag);
+            }
+            ASSERT_TRUE(same_data(f, i)) << "op " << op;
+            auto prev = last_frame.find(line);
+            if (prev != last_frame.end() && prev->second != i)
+                ++reinstalls_elsewhere;
+            last_frame[line] = i;
+            arr.install(f, line);
+            ref.install(i, line);
+            ASSERT_TRUE(arr.data(f) == ref.frame(i).data);
+            if (rng.chance(0.8)) {
+                const Line fill = randomLine(rng);
+                arr.data(f) = fill;
+                ref.frame(i).data = fill;
+            }
+        } else if (kind < 80) {
+            // Invalidate (recall, surrender, clean drop).
+            CacheLineState *f = arr.find(line);
+            const int i = ref.find(line);
+            ASSERT_TRUE(same_frame(f, i));
+            if (f) {
+                arr.invalidate(f);
+                ref.frame(i).reset();
+                ASSERT_FALSE(arr.valid(f));
+            }
+        } else if (kind < 92) {
+            // Pin or unpin a resident line.
+            CacheLineState *f = arr.find(line);
+            const int i = ref.find(line);
+            ASSERT_TRUE(same_frame(f, i));
+            if (f) {
+                const bool pin = rng.chance(0.6);
+                f->pinned = pin;
+                ref.frame(i).pinned = pin;
+            }
+        } else if (kind < 99) {
+            // A store into a resident line.
+            CacheLineState *f = arr.find(line);
+            const int i = ref.find(line);
+            ASSERT_TRUE(same_frame(f, i));
+            if (f) {
+                const std::size_t off = rng.below(kLineBytes);
+                const auto b = std::uint8_t(rng.next());
+                arr.data(f)[off] = b;
+                ref.frame(i).data[off] = b;
+            }
+        } else {
+            // Rarely, a power failure.
+            arr.invalidateAll();
+            for (std::uint32_t i = 0; i < size_bytes / kLineBytes; ++i)
+                ref.frame(int(i)).reset();
+        }
+    }
+    // The mix must have exercised a line coming back into a different
+    // way than it last held.
+    EXPECT_GT(reinstalls_elsewhere, 100u);
+    EXPECT_EQ(idx_of.size(), std::size_t(size_bytes / kLineBytes));
+}
+
+TEST(CacheArrayTest, MatchesArrayOfStructsModelL1Shape)
+{
+    // 4-way, 16 sets, 8 candidate lines per set.
+    runDifferential(4 * 1024, 4, 1, 128, 120000, 11);
+}
+
+TEST(CacheArrayTest, MatchesArrayOfStructsModelBankedL2Shape)
+{
+    // 16-way, 4 sets, set index above 4 bank bits (the L2 tiles).
+    runDifferential(4 * 1024, 16, 4, 512, 120000, 12);
+}
+
+TEST(CacheArrayTest, ReinstallIntoAnotherWayKeepsThatWaysBytes)
+{
+    CacheArray arr(4 * 1024, 4);
+    const Addr stride = Addr(arr.numSets()) * kLineBytes;
+    // Ways 0..2 hold lines A, B, X of set 0; X carries its own bytes.
+    CacheLineState *fa = arr.victim(0);
+    arr.install(fa, 0);
+    arr.data(fa).fill(0xaa);
+    arr.install(arr.victim(stride), stride);
+    CacheLineState *fx = arr.victim(2 * stride);
+    arr.install(fx, 2 * stride);
+    arr.data(fx).fill(0x55);
+    // Drop A and X: X's next install lands in A's old way, which
+    // still holds A's bytes until a fill overwrites them.
+    arr.invalidate(fa);
+    arr.invalidate(fx);
+    CacheLineState *again = arr.victim(2 * stride);
+    EXPECT_EQ(again, fa);
+    arr.install(again, 2 * stride);
+    EXPECT_EQ(arr.find(2 * stride), fa);
+    EXPECT_EQ(arr.data(fa)[0], 0xaa);
+    EXPECT_EQ(arr.data(fx)[0], 0x55);
+    EXPECT_FALSE(arr.valid(fx));
+}
+
+TEST(CacheArrayTest, LineDataGrowsOnlyWithDistinctFramesInstalled)
+{
+    // 1024 frames (16-way, 64 sets); no line data until installs.
+    CacheArray arr(64 * 1024, 16);
+    const std::uint32_t frames = 64 * 1024 / kLineBytes;
+    const std::uint32_t first_chunk = arr.dataCapacity();
+    EXPECT_EQ(arr.dataSlots(), 0u);
+    EXPECT_LT(first_chunk, frames / 16);
+
+    // Churning one line through install/invalidate reuses its frame.
+    CacheLineState *churned = nullptr;
+    for (int i = 0; i < 1000; ++i) {
+        churned = arr.victim(0x40);
+        arr.install(churned, 0x40);
+        arr.invalidate(churned);
+    }
+    EXPECT_EQ(arr.dataSlots(), 1u);
+    EXPECT_EQ(arr.dataCapacity(), first_chunk);
+
+    // n distinct frames hold n slots, in at most twice the storage.
+    std::set<const CacheLineState *> distinct{churned};
+    Addr line = 0;
+    for (std::uint32_t n : {8u, 100u, 300u, frames}) {
+        for (; distinct.size() < n; line += kLineBytes) {
+            CacheLineState *f = arr.victim(line);
+            ASSERT_FALSE(arr.valid(f));
+            arr.install(f, line);
+            distinct.insert(f);
+        }
+        const auto used = std::uint32_t(distinct.size());
+        EXPECT_EQ(arr.dataSlots(), used);
+        EXPECT_LE(arr.dataCapacity(), std::max(first_chunk, 2 * used));
+    }
+    EXPECT_EQ(arr.dataCapacity(), frames);
+
+    // Power failure and a full reinstall allocate nothing new.
+    arr.invalidateAll();
+    const Addr other = Addr(frames) * kLineBytes;  // same sets
+    for (Addr l = other; l < 2 * other; l += kLineBytes)
+        arr.install(arr.victim(l), l);
+    EXPECT_EQ(arr.dataSlots(), frames);
+    EXPECT_EQ(arr.dataCapacity(), frames);
+}
+
+TEST(SharerSetTest, MatchesABitsetForCoreIdsUpTo1023)
+{
+    SharerSpill spill(1024);
+    ASSERT_EQ(spill.words(), 15u);
+    std::vector<SharerSet> sets;
+    std::vector<std::bitset<1024>> ref(8);
+    for (int i = 0; i < 8; ++i)
+        sets.emplace_back(&spill);
+    Random rng(23);
+    for (int op = 0; op < 50000; ++op) {
+        const std::size_t i = rng.below(sets.size());
+        // Mostly high ids, with the word-0 and word-boundary cores.
+        const std::uint64_t pick = rng.below(10);
+        const CoreId core = pick == 0   ? CoreId(rng.below(64))
+                            : pick == 1 ? CoreId(64 * rng.range(1, 15) -
+                                                 rng.below(2))
+                                        : CoreId(rng.below(1024));
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 50) {
+            sets[i].set(core);
+            ref[i].set(core);
+        } else if (kind < 85) {
+            sets[i].clear(core);
+            ref[i].reset(core);
+        } else if (kind < 88) {
+            sets[i].reset();
+            ref[i].reset();
+        } else if (kind < 91) {
+            // Move out and back, as the invalidation rounds do.
+            SharerSet moved = std::move(sets[i]);
+            EXPECT_TRUE(sets[i].none());
+            EXPECT_EQ(moved.count(), ref[i].count());
+            sets[i] = std::move(moved);
+        }
+        ASSERT_EQ(sets[i].test(core), ref[i].test(core)) << "op " << op;
+        ASSERT_EQ(sets[i].count(), ref[i].count()) << "op " << op;
+        ASSERT_EQ(sets[i].none(), ref[i].none());
+        ASSERT_EQ(sets[i].anyBut(core),
+                  ref[i].count() > (ref[i].test(core) ? 1u : 0u));
+    }
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        std::vector<CoreId> members;
+        sets[i].forEach([&](CoreId c) { members.push_back(c); });
+        std::vector<CoreId> want;
+        for (CoreId c = 0; c < 1024; ++c) {
+            if (ref[i].test(c))
+                want.push_back(c);
+            ASSERT_EQ(sets[i].test(c), ref[i].test(c));
+        }
+        EXPECT_EQ(members, want);  // ascending core ids
+    }
+    // At most one block per set; all come back with the sets.
+    EXPECT_LE(spill.created(), sets.size());
+    sets.clear();
+    EXPECT_EQ(spill.live(), 0u);
+}
+
+TEST(SharerSetTest, DirectoryRecyclesSpillBlocksAcrossEntries)
+{
+    // A fresh entry per line, each gaining a high sharer and then
+    // handing its sharers to a round: the spill reuses a block
+    // instead of allocating per entry.
+    Directory dir(1024);
+    for (Addr line = 0; line < 1000 * kLineBytes; line += kLineBytes) {
+        DirEntry &entry = dir.entry(line);
+        entry.sharers.set(CoreId(100 + line / kLineBytes % 900));
+        entry.sharers.set(3);
+        const SharerSet round = std::move(entry.sharers);
+        EXPECT_EQ(round.count(), 2u);
+        entry.sharers.set(1023);  // the entry spills again
+        dir.erase(line);
+    }
+    EXPECT_EQ(dir.spill().live(), 0u);
+    EXPECT_LE(dir.spill().created(), 2u);
 }
 
 TEST(MshrTest, TracksOutstandingMisses)
@@ -255,8 +655,8 @@ TEST_F(ProtocolTest, StoreMissFillsModifiedWithData)
     ASSERT_NE(line, nullptr);
     EXPECT_EQ(line->state, CoherenceState::Modified);
     EXPECT_TRUE(line->dirty);
-    std::uint64_t back;
-    std::memcpy(&back, line->data.data() + (kAddr % kLineBytes), 8);
+    const std::uint64_t back =
+        lineWord(sys.l1(0).array(), line, kAddr % kLineBytes);
     EXPECT_EQ(back, value);
 }
 
@@ -281,8 +681,8 @@ TEST_F(ProtocolTest, SecondReaderDowngradesOwnerToShared)
     EXPECT_EQ(owner->state, CoherenceState::Shared);
     EXPECT_EQ(reader->state, CoherenceState::Shared);
     // Reader sees the writer's data through the 3-hop forward.
-    std::uint64_t back;
-    std::memcpy(&back, reader->data.data() + (kAddr % kLineBytes), 8);
+    const std::uint64_t back =
+        lineWord(sys.l1(1).array(), reader, kAddr % kLineBytes);
     EXPECT_EQ(back, 42u);
 }
 
@@ -329,10 +729,10 @@ TEST_F(ProtocolTest, OwnershipMigratesBetweenWriters)
     ASSERT_NE(line, nullptr);
     EXPECT_EQ(line->state, CoherenceState::Modified);
     // The second writer's line must contain both stores.
-    std::uint64_t back1;
-    std::uint64_t back2;
-    std::memcpy(&back1, line->data.data() + (kAddr % kLineBytes), 8);
-    std::memcpy(&back2, line->data.data() + (kAddr % kLineBytes) + 8, 8);
+    const std::uint64_t back1 =
+        lineWord(sys.l1(1).array(), line, kAddr % kLineBytes);
+    const std::uint64_t back2 =
+        lineWord(sys.l1(1).array(), line, kAddr % kLineBytes + 8);
     EXPECT_EQ(back1, 1u);
     EXPECT_EQ(back2, 2u);
 }
@@ -376,7 +776,7 @@ TEST_F(ProtocolTest, FlushMakesLineDurableAndClean)
     const CacheLineState *line = sys.l1(0).array().find(kAddr);
     ASSERT_NE(line, nullptr);
     EXPECT_FALSE(line->dirty);   // clean after writeback
-    EXPECT_TRUE(line->valid);    // clwb keeps the line cached
+    EXPECT_TRUE(sys.l1(0).array().valid(line));  // clwb keeps it cached
 }
 
 TEST_F(ProtocolTest, FlushOfCleanLineStillAcks)
@@ -417,8 +817,8 @@ TEST_F(ProtocolTest, EvictionWritesBackThroughL2)
     ASSERT_TRUE(read);
     const CacheLineState *line = sys.l1(1).array().find(base);
     ASSERT_NE(line, nullptr);
-    std::uint64_t back;
-    std::memcpy(&back, line->data.data(), 8);
+    const std::uint64_t back =
+        lineWord(sys.l1(1).array(), line, 0);
     EXPECT_EQ(back, 100u);
 }
 
@@ -527,8 +927,8 @@ TEST_F(ProtocolTest, ReadMissRacesInFlightInvalidateAtDirectory)
     ASSERT_NE(reader, nullptr);
     EXPECT_EQ(writer->state, CoherenceState::Shared);
     EXPECT_EQ(reader->state, CoherenceState::Shared);
-    std::uint64_t back;
-    std::memcpy(&back, reader->data.data() + (kAddr % kLineBytes), 8);
+    const std::uint64_t back =
+        lineWord(sys.l1(0).array(), reader, kAddr % kLineBytes);
     EXPECT_EQ(back, value);
     // The second sharer stayed invalidated.
     EXPECT_EQ(sys.l1(1).array().find(kAddr), nullptr);
@@ -605,8 +1005,8 @@ TEST(SplitPhaseEvictionRaceTest, QueuedDemandMissWaitsOutEvictionRound)
     // inclusion holds (B resident at its home tile again).
     const CacheLineState *line = sys.l1(2).array().find(lineB);
     ASSERT_NE(line, nullptr);
-    std::uint64_t back;
-    std::memcpy(&back, line->data.data(), 8);
+    const std::uint64_t back =
+        lineWord(sys.l1(2).array(), line, 0);
     EXPECT_EQ(back, value);
     const std::uint32_t home = sys.addressMap().homeTile(lineB);
     EXPECT_NE(sys.l2Tile(home).array().find(lineB), nullptr);
@@ -703,8 +1103,8 @@ TEST(WbHitFastPathTest, LoadMissServedFromOwnWritebackBuffer)
     ASSERT_TRUE(other);
     const CacheLineState *line = sys.l1(1).array().find(base);
     ASSERT_NE(line, nullptr);
-    std::uint64_t back;
-    std::memcpy(&back, line->data.data(), 8);
+    const std::uint64_t back =
+        lineWord(sys.l1(1).array(), line, 0);
     EXPECT_EQ(back, value);
 }
 

@@ -231,7 +231,10 @@ l1Word(System &sys, Addr addr)
     if (!frame)
         return 0;
     std::uint64_t v = 0;
-    std::memcpy(&v, frame->data.data() + (addr - lineAlign(addr)), 8);
+    std::memcpy(&v,
+                sys.l1(0).array().data(frame).data() +
+                    (addr - lineAlign(addr)),
+                8);
     return v;
 }
 
