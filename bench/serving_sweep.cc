@@ -16,8 +16,10 @@
  * 1024-tile counter population must stay in bounds. These gates pin
  * the fixes for the structures that were O(cores^2)-ish at 1024 tiles
  * (ordered-map stat registration, the dense lookahead matrix) and the
- * per-frame cache footprint; the binary exits non-zero if any gate
- * fails.
+ * per-set cache footprint; the binary exits non-zero if any gate
+ * fails. The 1024-tile machine then serves one transaction per core,
+ * and its L1 and L2 footprint (sets allocated / configured, line-data
+ * slots) is printed at construction and after that run.
  *
  * `--stats-json <path>` exports one row per run with a per-tenant
  * array: {"tenant": N, "commits": ..., "aus_acquires": ...,
@@ -191,9 +193,37 @@ residentMb()
            (1024.0 * 1024.0);
 }
 
-/** Bound on the resident growth of building the 1024-tile System:
- * the measured +52.8 MB rounded up. */
-constexpr double kBuildResidentMbBound = 60.0;
+/** Bound on the resident growth of building the 1024-tile machine
+ * (its System plus the Runner's per-core state): the measured
+ * +10.5 MB rounded up. */
+constexpr double kBuildResidentMbBound = 12.0;
+
+/** Print the cache arrays' footprint per level: sets allocated out of
+ * sets configured, and line-data slots handed out. */
+void
+printCacheFootprint(System &sys, const char *when)
+{
+    std::uint64_t l1_sets = 0, l1_used = 0, l1_slots = 0;
+    for (CoreId c = 0; c < sys.numCores(); ++c) {
+        const CacheArray &a = sys.l1(c).array();
+        l1_sets += a.numSets();
+        l1_used += a.setsAllocated();
+        l1_slots += a.dataSlots();
+    }
+    std::uint64_t l2_sets = 0, l2_used = 0, l2_slots = 0;
+    for (std::uint32_t t = 0; t < sys.config().l2Tiles; ++t) {
+        const CacheArray &a = sys.l2Tile(t).array();
+        l2_sets += a.numSets();
+        l2_used += a.setsAllocated();
+        l2_slots += a.dataSlots();
+    }
+    std::printf("cache footprint %s: L1 %llu/%llu sets, %llu data slots; "
+                "L2 %llu/%llu sets, %llu data slots\n",
+                when, (unsigned long long)l1_used,
+                (unsigned long long)l1_sets, (unsigned long long)l1_slots,
+                (unsigned long long)l2_used, (unsigned long long)l2_sets,
+                (unsigned long long)l2_slots);
+}
 
 /**
  * 1024-tile scaling gates: construction wall time, amortized
@@ -201,6 +231,8 @@ constexpr double kBuildResidentMbBound = 60.0;
  * and stat dump/aggregation time over the full counter population.
  * Time budgets are deliberately generous (CI machines vary); the
  * pre-fix super-linear structures blew them by orders of magnitude.
+ * The machine then serves one KV transaction per core, and its cache
+ * footprint is printed at construction and after the run.
  */
 bool
 scalingGates()
@@ -209,13 +241,15 @@ scalingGates()
     bool ok = true;
 
     const SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
+    KvWorkload workload(paramsFor({1024, 0, 0.99, 1}));
     const std::uint64_t a0 = g_allocCount.load();
     // Hand the sweep's freed heap back first, so the growth below is
     // this System's own footprint and not memory the allocator reuses.
     malloc_trim(0);
     const double rss0 = residentMb();
     const auto t0 = std::chrono::steady_clock::now();
-    System sys(cfg, Addr(512) * 1024 * 1024);
+    Runner runner(cfg, workload, 1);
+    System &sys = runner.system();
     const auto t1 = std::chrono::steady_clock::now();
     const double build_s = std::chrono::duration<double>(t1 - t0).count();
     const std::uint64_t build_allocs = g_allocCount.load() - a0;
@@ -243,6 +277,7 @@ scalingGates()
                 dump_s, sum_s);
     if (rss0 >= 0)
         std::printf("construction resident growth: %+.1f MB\n", build_mb);
+    printCacheFootprint(sys, "at construction");
 
     if (build_s > 30.0) {
         std::printf("!! 1024-tile construction took %.1f s (> 30 s "
@@ -258,9 +293,9 @@ scalingGates()
                     double(build_allocs) / double(counters));
         ok = false;
     }
-    // Cache arrays keep a tag and a metadata frame per line and
-    // allocate line data only on install, so an unused 1024-tile
-    // machine stays small (+147 MB with inline line data per frame).
+    // Cache arrays allocate a set's tags and metadata frames on the
+    // set's first use and line data only on install, so an unused
+    // 1024-tile machine stays small.
     if (rss0 >= 0 && build_mb > kBuildResidentMbBound) {
         std::printf("!! 1024-tile construction grew resident memory by "
                     "%.1f MB (> %.0f MB bound)\n",
@@ -273,6 +308,12 @@ scalingGates()
                     (unsigned long long)counters, dump_s, sum_s);
         ok = false;
     }
+
+    runner.setUp();
+    const RunResult r = runner.run();
+    std::printf("one txn per core: %llu committed in %llu cycles\n",
+                (unsigned long long)r.txns, (unsigned long long)r.cycles);
+    printCacheFootprint(sys, "after run");
     std::printf("scaling gates: %s\n", ok ? "OK" : "FAIL");
     return ok;
 }

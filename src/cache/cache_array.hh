@@ -6,8 +6,10 @@
 #ifndef ATOMSIM_CACHE_CACHE_ARRAY_HH
 #define ATOMSIM_CACHE_CACHE_ARRAY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "cache/cache_line.hh"
@@ -23,18 +25,24 @@ namespace atomsim
  * the line offset. Size and associativity must describe a power-of-two
  * set count.
  *
- * Memory follows the lines actually used, not the configured capacity:
+ * Memory follows the sets and lines actually used, not the configured
+ * capacity:
  *
- *  - a dense tag store (one word per frame: `line | 1` when valid, 0
- *    when invalid) is the only record of validity, so a lookup scans
- *    assoc x 8 bytes;
- *  - frames hold metadata only (state, dirty, log bit, pin, LRU stamp
- *    and a line-data slot handle);
+ *  - each set has one pointer, null until victim() first picks into
+ *    the set; a lookup in a never-used set misses without allocating;
+ *  - the pointer leads to the set's block: its frames (metadata only:
+ *    state, dirty, log bit, pin, way, LRU stamp and a line-data slot
+ *    handle) followed by its dense tags (one word per way: `line | 1`
+ *    when valid, 0 when invalid), the only record of validity, so a
+ *    lookup scans assoc x 8 bytes. Blocks come from per-array chunks
+ *    handed out in first-use order that double in size, so frames
+ *    never move;
  *  - a frame gets a line-data slot on its first install and keeps it
  *    from then on, so a reinstalled frame still holds its old bytes
  *    until a fill overwrites them. Slots come from per-array chunks
- *    handed out in install order that double in size, so an array
- *    allocates O(log frames) times over its life.
+ *    that grow the same way.
+ *
+ * So an array allocates O(log sets + log frames) times over its life.
  */
 class CacheArray
 {
@@ -80,14 +88,14 @@ class CacheArray
     bool
     valid(const CacheLineState *frame) const
     {
-        return _tags[index(frame)] != 0;
+        return tagWord(frame) != 0;
     }
 
     /** Line address held by valid @p frame. */
     Addr
     tag(const CacheLineState *frame) const
     {
-        return _tags[index(frame)] & ~Addr(1);
+        return tagWord(frame) & ~Addr(1);
     }
 
     /** Line data of @p frame (installed at least once). */
@@ -106,6 +114,10 @@ class CacheArray
     std::uint32_t numSets() const { return _numSets; }
     std::uint32_t assoc() const { return _assoc; }
 
+    /** Sets whose ways are allocated: those victim() ever picked
+     * into. */
+    std::uint32_t setsAllocated() const { return _setsAllocated; }
+
     /** Line-data slots handed out: the distinct frames ever
      * installed. */
     std::uint32_t dataSlots() const { return _slotsUsed; }
@@ -121,11 +133,31 @@ class CacheArray
 
     std::uint32_t setIndex(Addr line_addr) const;
 
+    /** Bytes of one set block: assoc frames, then assoc tags. */
     std::size_t
-    index(const CacheLineState *frame) const
+    blockBytes() const
     {
-        return std::size_t(frame - _frames.data());
+        return std::size_t(_assoc) * (sizeof(CacheLineState) + sizeof(Addr));
     }
+
+    /** Dense tags of the set whose frames start at @p frames. */
+    Addr *
+    setTags(CacheLineState *frames) const
+    {
+        return std::launder(reinterpret_cast<Addr *>(frames + _assoc));
+    }
+
+    /** The tag word of @p frame, found through its way. */
+    Addr &
+    tagWord(const CacheLineState *frame) const
+    {
+        auto *frames = const_cast<CacheLineState *>(frame - frame->way);
+        return setTags(frames)[frame->way];
+    }
+
+    /** Frames of the set holding @p line_addr, allocating its block
+     * on the set's first use. */
+    CacheLineState *allocatedSet(Addr line_addr);
 
     Line &slotData(std::uint32_t slot);
 
@@ -133,15 +165,21 @@ class CacheArray
      * the allocated ones are full. */
     std::uint32_t newSlot();
 
-    /** Reset @p frame's metadata, keeping its line-data slot. */
+    /** Reset @p frame's metadata, keeping its way and line-data
+     * slot. */
     static void resetMeta(CacheLineState *frame);
 
     std::uint32_t _numSets;
     std::uint32_t _assoc;
     std::uint32_t _indexDiv;
     std::uint64_t _stamp = 0;
-    std::vector<Addr> _tags;  //!< per frame: line | 1, or 0 (invalid)
-    std::vector<CacheLineState> _frames;
+    /** Per set: its frames (tags follow them), or null if unused. */
+    std::vector<CacheLineState *> _sets;
+    /** Set blocks, each assoc frames then assoc tags. */
+    std::vector<std::unique_ptr<std::byte[]>> _blockChunks;
+    std::uint32_t _setsAllocated = 0;
+    std::uint32_t _blocksAllocated = 0;  //!< used + spare in last chunk
+    std::byte *_nextBlock = nullptr;     //!< next spare block
     std::vector<std::unique_ptr<Line[]>> _chunks;
     std::uint32_t _slotsUsed = 0;
     std::uint32_t _slotsAllocated = 0;

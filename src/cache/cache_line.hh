@@ -35,21 +35,26 @@ struct CacheLineState
     /** No line-data slot yet (the frame was never installed). */
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
 
+    CacheLineState() : dirty(false), logBit(false), pinned(false) {}
+
     CoherenceState state = CoherenceState::Invalid;
-    bool dirty = false;
+    bool dirty : 1;
     /**
      * ATOM log bit (Section III-B): set when the line has been logged
      * for the current atomic update; cleared when the modified value is
      * durably written back or the line is evicted (volatile metadata).
      */
-    bool logBit = false;
+    bool logBit : 1;
     /**
      * Pinned while a store's log request is outstanding (the line is
      * the subject of an active MSHR transaction): replacement skips
      * pinned frames, preventing an evict/refetch/re-log feedback loop
      * under contention.
      */
-    bool pinned = false;
+    bool pinned : 1;
+    /** The frame's way in its set, fixed when the set is allocated:
+     * the array finds the frame's tag through it. */
+    std::uint16_t way = 0;
     /** Handle of the frame's line data in its array, assigned on the
      * first install and kept from then on. */
     std::uint32_t slot = kNoSlot;
@@ -62,6 +67,9 @@ struct CacheLineState
                state == CoherenceState::Exclusive;
     }
 };
+
+static_assert(sizeof(CacheLineState) == 16,
+              "a cache frame's metadata stays 16 bytes");
 
 } // namespace atomsim
 

@@ -607,7 +607,7 @@ std::optional<std::pair<Line, bool>>
 L1Cache::surrenderLine(Addr addr)
 {
     if (CacheLineState *frame = _array.find(addr)) {
-        auto result = std::make_pair(_array.data(frame), frame->dirty);
+        auto result = std::make_pair(_array.data(frame), bool(frame->dirty));
         _array.invalidate(frame);
         return result;
     }

@@ -130,8 +130,10 @@ class L2Tile : public MeshSink
            Mesh &mesh, const AddressMap &amap, StatSet &stats);
     ~L2Tile();
 
-    /** Wire the L1s (for recalls / forwards / invalidations). */
-    void setL1s(std::vector<L1Cache *> l1s) { _l1s = std::move(l1s); }
+    /** Wire the L1s (for recalls / forwards / invalidations): a table
+     * indexed by core, owned by the caller and shared by every tile,
+     * that must outlive this tile. */
+    void setL1s(L1Cache *const *l1s) { _l1s = l1s; }
 
     /** Wire the per-MC mesh ports (fill reads, durable writes). */
     void
@@ -316,7 +318,7 @@ class L2Tile : public MeshSink
 
     CacheArray _array;
     Directory _dir;
-    std::vector<L1Cache *> _l1s;
+    L1Cache *const *_l1s = nullptr;  //!< per core (shared table)
     std::vector<MeshSink *> _mcPorts;
     VictimCache *_victims = nullptr;
 

@@ -88,12 +88,13 @@ AusPool::slotOf(CoreId core) const
 
 DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
                              std::vector<std::unique_ptr<LogM>> &logms,
-                             std::vector<L1Cache *> l1s, AusPool &pool,
+                             const std::vector<L1Cache *> &l1s,
+                             AusPool &pool,
                              RedoEngine *redo, StatSet &stats)
     : _eq(eq),
       _cfg(cfg),
       _logms(logms),
-      _l1s(std::move(l1s)),
+      _l1s(l1s),
       _pool(pool),
       _redo(redo),
       _commit(cfg.numCores),

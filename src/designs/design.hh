@@ -118,7 +118,7 @@ class DesignContext : public DesignHooks
   public:
     DesignContext(EventQueue &eq, const SystemConfig &cfg,
                   std::vector<std::unique_ptr<LogM>> &logms,
-                  std::vector<L1Cache *> l1s, AusPool &pool,
+                  const std::vector<L1Cache *> &l1s, AusPool &pool,
                   RedoEngine *redo, StatSet &stats);
 
     void atomicBegin(CoreId core, Done done) override;
@@ -241,7 +241,7 @@ class DesignContext : public DesignHooks
     EventQueue &_eq;
     const SystemConfig &_cfg;
     std::vector<std::unique_ptr<LogM>> &_logms;
-    std::vector<L1Cache *> _l1s;
+    const std::vector<L1Cache *> &_l1s;
     AusPool &_pool;
     RedoEngine *_redo;
 

@@ -84,9 +84,8 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
             c, core_queue(c), _cfg, *_mesh, _amap, _tiles, _stats));
     }
 
-    std::vector<L1Cache *> l1_ptrs;
     for (auto &l1 : _l1s)
-        l1_ptrs.push_back(l1.get());
+        _l1Table.push_back(l1.get());
     std::vector<MeshSink *> mc_sinks;
     for (auto &port : _mcPorts)
         mc_sinks.push_back(port.get());
@@ -94,7 +93,7 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
     for (auto &tile : _tiles)
         tile_sinks.push_back(tile.get());
     for (auto &tile : _tiles) {
-        tile->setL1s(l1_ptrs);
+        tile->setL1s(_l1Table.data());
         tile->setMcPorts(mc_sinks);
     }
     for (auto &port : _mcPorts)
@@ -144,7 +143,7 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
     }
 
     _design = std::make_unique<DesignContext>(
-        eq0, _cfg, _logms, l1_ptrs, *_ausPool, _redo.get(), _stats);
+        eq0, _cfg, _logms, _l1Table, *_ausPool, _redo.get(), _stats);
 
     if (_cfg.numTenants > 0) {
         // Multi-tenant accounting: per-core pointers into shared

@@ -142,6 +142,8 @@ class System
     std::unique_ptr<LogSpace> _logSpace;
     std::vector<std::unique_ptr<L2Tile>> _tiles;
     std::vector<std::unique_ptr<L1Cache>> _l1s;
+    /** The L1s by core: the one table every L2 tile points into. */
+    std::vector<L1Cache *> _l1Table;
     std::vector<std::unique_ptr<Core>> _cores;
     CoreTally _tally;
     /** Set iff cfg.serializeAtomicRegions (sequential kernel only). */

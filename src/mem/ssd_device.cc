@@ -1,6 +1,7 @@
 #include "mem/ssd_device.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -320,10 +321,12 @@ DestageEngine::scrubPage(Addr page)
     // Poison, not zero: a path that wrongly treats NVM as
     // authoritative for a forwarded page corrupts visibly instead of
     // reading plausible stale bytes.
-    Line poison;
-    poison.fill(0x5A);
-    for (std::uint32_t l = 0; l < kPageBytes / kLineBytes; ++l)
-        _nvm.writeLine(page + Addr(l) * kLineBytes, poison);
+    static const std::array<std::uint8_t, kPageBytes> poison = [] {
+        std::array<std::uint8_t, kPageBytes> bytes;
+        bytes.fill(0x5A);
+        return bytes;
+    }();
+    _nvm.write(page, kPageBytes, poison.data());
 }
 
 DestageEngine::Attempt

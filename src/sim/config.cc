@@ -262,9 +262,9 @@ SystemConfig::makeMeshPreset(std::uint32_t tiles)
         cfg.meshRows = 32;
         cfg.numMemCtrls = 16;
         // Keep the host footprint bounded at 1024 tiles: smaller L2
-        // slices (each frame still costs a tag and a metadata word
-        // pair, 24 B, even though line data is allocated only on
-        // install) and a narrow calendar wheel per domain (2064
+        // slices (a set that is used costs 24 B per way for its tags
+        // and metadata frames, plus a 64 B line-data slot per frame
+        // installed) and a narrow calendar wheel per domain (2064
         // domains x buckets).
         cfg.l2TileBytes = 64 * 1024;
         cfg.wheelBuckets = 256;

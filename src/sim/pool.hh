@@ -23,6 +23,10 @@
  *
  * Per-line state lives in the companion flat table (sim/addr_table.hh).
  *
+ * Nodes come from chunks that double the pool's size (a chained slab)
+ * and are constructed when first handed out, so a node never moves
+ * and a pool allocates O(log high-water) times over its life.
+ *
  * T must expose a `T *next` member, used as the free-list link while
  * the node is idle (subsystems may reuse it for their own chains while
  * the node is live). Scrubbing node state (destroying callbacks,
@@ -33,8 +37,7 @@
 #define ATOMSIM_SIM_POOL_HH
 
 #include <cstddef>
-#include <memory>
-#include <vector>
+#include <new>
 
 namespace atomsim
 {
@@ -43,6 +46,25 @@ template <typename T>
 class FreeListPool
 {
   public:
+    FreeListPool() = default;
+    FreeListPool(const FreeListPool &) = delete;
+    FreeListPool &operator=(const FreeListPool &) = delete;
+
+    ~FreeListPool()
+    {
+        // Every chunk is full but the newest, which ends at _cursor.
+        T *end = _cursor;
+        for (Chunk *chunk = _chunk; chunk;) {
+            for (T *node = nodesOf(chunk); node != end; ++node)
+                node->~T();
+            Chunk *prev = chunk->prev;
+            ::operator delete(chunk);
+            chunk = prev;
+            if (chunk)
+                end = nodesOf(chunk) + chunk->nodes;
+        }
+    }
+
     /** A node with indeterminate (recycled) payload; next == nullptr. */
     T *
     acquire()
@@ -54,8 +76,10 @@ class FreeListPool
             --_freeCount;
             return node;
         }
-        _nodes.push_back(std::make_unique<T>());
-        return _nodes.back().get();
+        if (_cursor == _chunkEnd)
+            grow();
+        ++_allocated;
+        return new (_cursor++) T();
     }
 
     /** Return a node to the free list (caller has scrubbed it). */
@@ -68,13 +92,53 @@ class FreeListPool
     }
 
     /** Nodes ever allocated (high-water mark). */
-    std::size_t allocated() const { return _nodes.size(); }
+    std::size_t allocated() const { return _allocated; }
 
     /** Nodes currently idle on the free list. */
     std::size_t idle() const { return _freeCount; }
 
   private:
-    std::vector<std::unique_ptr<T>> _nodes;
+    /** A chunk's header; its nodes follow at nodeOffset(). */
+    struct Chunk
+    {
+        Chunk *prev;
+        std::size_t nodes;
+    };
+
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "pool chunks come from plain operator new");
+
+    static constexpr std::size_t
+    nodeOffset()
+    {
+        return (sizeof(Chunk) + alignof(T) - 1) / alignof(T) * alignof(T);
+    }
+
+    static T *
+    nodesOf(Chunk *chunk)
+    {
+        return reinterpret_cast<T *>(reinterpret_cast<unsigned char *>(chunk) +
+                                     nodeOffset());
+    }
+
+    /** Add a chunk as large as the pool so far (one node first):
+     * nodes never move, and a pool allocates O(log nodes) times. */
+    void
+    grow()
+    {
+        const std::size_t n = _allocated == 0 ? 1 : _allocated;
+        // Raw storage: a node is constructed when first handed out.
+        auto *chunk = new (::operator new(nodeOffset() + n * sizeof(T)))
+            Chunk{_chunk, n};
+        _chunk = chunk;
+        _cursor = nodesOf(chunk);
+        _chunkEnd = _cursor + n;
+    }
+
+    Chunk *_chunk = nullptr;  //!< newest chunk, chained to older ones
+    T *_cursor = nullptr;     //!< next never-used node storage
+    T *_chunkEnd = nullptr;   //!< end of the newest chunk
+    std::size_t _allocated = 0;
     T *_free = nullptr;
     std::size_t _freeCount = 0;
 };

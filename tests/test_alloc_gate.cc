@@ -112,11 +112,11 @@ TEST(AllocGateTest, TpccUnderAtomOpt)
     constexpr std::uint32_t kTxnsPerCore = 24;
     TpccWorkload workload{tpcc::ScaleParams{}};
     Runner runner(cfg, workload, kTxnsPerCore);
-    // Measured 5.38/txn: first-touch DataImage pages (NVM log and data
+    // Measured 5.27/txn: first-touch DataImage pages (NVM log and data
     // pages, and the architectural pages of freshly allocated rows and
-    // tree nodes) and amortized table/pool/line-data growth.
+    // tree nodes) and amortized table/pool/set-block/line-data growth.
     EXPECT_LE(steadyAllocsPerTxn(runner, cfg.numCores * kTxnsPerCore),
-              5.4);
+              5.3);
     DirectAccessor arch(runner.system().archMem());
     EXPECT_EQ(workload.checkConsistency(arch, cfg.numCores), "");
 }
@@ -139,7 +139,7 @@ TEST(AllocGateTest, ZipfianKvUnderAtomOpt)
     KvWorkload workload(kv);
     Runner runner(cfg, workload, kTxnsPerCore);
     // Measured 0.73/txn: first-touch NVM pages and amortized
-    // directory/LogM table and cache line-data growth.
+    // directory/LogM table and cache set-block/line-data growth.
     EXPECT_LE(steadyAllocsPerTxn(runner, cfg.numCores * kTxnsPerCore),
               0.8);
     DirectAccessor arch(runner.system().archMem());
@@ -174,10 +174,10 @@ TEST(AllocGateTest, TieredHashUnderEventualDurability)
     p.txnsPerCore = kTxnsPerCore;
     HashWorkload workload(p);
     Runner runner(cfg, workload, kTxnsPerCore, Addr(64) * 1024 * 1024);
-    // Measured 0.21/txn: first-touch NVM and flash image pages and
+    // Measured 0.17/txn: first-touch NVM and flash image pages and
     // amortized pool growth.
     EXPECT_LE(steadyAllocsPerTxn(runner, cfg.numCores * kTxnsPerCore),
-              0.3);
+              0.2);
     DirectAccessor arch(runner.system().archMem());
     EXPECT_EQ(workload.checkConsistency(arch, cfg.numCores), "");
 }

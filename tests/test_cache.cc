@@ -195,14 +195,36 @@ randomLine(Random &rng)
 }
 
 /** Drive CacheArray and ReferenceArray with @p ops random operations
- * and require identical answers at every step. */
+ * and require identical answers at every step. The operations touch
+ * @p distinct_lines lines spread over @p used_sets random sets (every
+ * set when 0). */
 void
 runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
                 std::uint32_t index_div, std::uint32_t distinct_lines,
-                int ops, std::uint64_t seed)
+                int ops, std::uint64_t seed, std::uint32_t used_sets = 0)
 {
     CacheArray arr(size_bytes, assoc, index_div);
     ReferenceArray ref(size_bytes, assoc, index_div);
+    const std::uint32_t sets = arr.numSets();
+    // Line number n falls in set (n / index_div) % sets: build each
+    // line from a chosen set, a bank and a tag.
+    Random pick(seed ^ 0x5e75);
+    std::vector<std::uint32_t> chosen;
+    for (std::uint32_t s = 0; s < sets; ++s)
+        chosen.push_back(s);
+    if (used_sets != 0) {
+        for (std::uint32_t i = 0; i < used_sets; ++i)
+            std::swap(chosen[i], chosen[i + pick.below(sets - i)]);
+        chosen.resize(used_sets);
+    }
+    std::vector<Addr> lines;
+    for (std::uint32_t i = 0; i < distinct_lines; ++i) {
+        const std::uint64_t n =
+            (std::uint64_t(i / chosen.size()) * sets +
+             chosen[i % chosen.size()]) * index_div +
+            pick.below(index_div);
+        lines.push_back(Addr(n) * kLineBytes);
+    }
     // Frame identity: the compact frame standing for each reference
     // index must never change.
     std::map<const CacheLineState *, int> idx_of;
@@ -221,7 +243,7 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
     std::uint32_t reinstalls_elsewhere = 0;
     std::map<Addr, int> last_frame;  // line -> frame it last occupied
     for (int op = 0; op < ops; ++op) {
-        const Addr line = Addr(rng.below(distinct_lines)) * kLineBytes;
+        const Addr line = lines[rng.below(distinct_lines)];
         const std::uint64_t kind = rng.below(100);
         if (kind < 30) {
             // Lookup, with or without an LRU update.
@@ -303,7 +325,13 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
     // The mix must have exercised a line coming back into a different
     // way than it last held.
     EXPECT_GT(reinstalls_elsewhere, 100u);
-    EXPECT_EQ(idx_of.size(), std::size_t(size_bytes / kLineBytes));
+    // Exactly the chosen sets were allocated; a dense run saw every
+    // frame.
+    EXPECT_EQ(arr.setsAllocated(), chosen.size());
+    if (used_sets == 0)
+        EXPECT_EQ(idx_of.size(), std::size_t(size_bytes / kLineBytes));
+    else
+        EXPECT_LE(idx_of.size(), chosen.size() * assoc);
 }
 
 TEST(CacheArrayTest, MatchesArrayOfStructsModelL1Shape)
@@ -316,6 +344,112 @@ TEST(CacheArrayTest, MatchesArrayOfStructsModelBankedL2Shape)
 {
     // 16-way, 4 sets, set index above 4 bank bits (the L2 tiles).
     runDifferential(4 * 1024, 16, 4, 512, 120000, 12);
+}
+
+TEST(CacheArrayTest, MatchesArrayOfStructsModelOnSparseSets)
+{
+    // 40 of 256 L1 sets, and 24 of 256 banked L2 sets.
+    runDifferential(64 * 1024, 4, 1, 320, 120000, 13, 40);
+    runDifferential(256 * 1024, 16, 4, 768, 120000, 14, 24);
+}
+
+TEST(CacheArrayTest, LookupInUnusedSetAllocatesNothing)
+{
+    CacheArray arr(64 * 1024, 4);  // 256 sets
+    EXPECT_EQ(arr.setsAllocated(), 0u);
+    for (Addr line = 0; line < Addr(4096) * kLineBytes; line += kLineBytes) {
+        EXPECT_EQ(arr.find(line), nullptr);
+        EXPECT_EQ(arr.touch(line), nullptr);
+    }
+    EXPECT_EQ(arr.setsAllocated(), 0u);
+    EXPECT_EQ(arr.dataSlots(), 0u);
+
+    // victim() allocates its set, and only it.
+    CacheLineState *f = arr.victim(0x40);
+    EXPECT_EQ(arr.setsAllocated(), 1u);
+    EXPECT_FALSE(arr.valid(f));
+    EXPECT_EQ(arr.victim(0x40), f);
+    EXPECT_EQ(arr.setsAllocated(), 1u);
+    arr.install(f, 0x40);
+    EXPECT_EQ(arr.find(0x80), nullptr);
+    EXPECT_EQ(arr.setsAllocated(), 1u);
+}
+
+TEST(CacheArrayTest, FramesNeverMoveAsSetsAreAllocated)
+{
+    CacheArray arr(1024 * 1024, 4);  // 4096 sets
+    CacheLineState *first = arr.victim(0);
+    arr.install(first, 0);
+    arr.data(first).fill(0xc3);
+    first->dirty = true;
+    // 1,500 more sets: many block chunks later, the first frame is
+    // where it was, with its tag, metadata and bytes.
+    for (Addr set = 1; set <= 1500; ++set) {
+        const Addr line = set * kLineBytes;
+        CacheLineState *f = arr.victim(line);
+        arr.install(f, line);
+        arr.data(f).fill(std::uint8_t(set));
+    }
+    EXPECT_EQ(arr.setsAllocated(), 1501u);
+    EXPECT_EQ(arr.find(0), first);
+    EXPECT_TRUE(arr.valid(first));
+    EXPECT_EQ(arr.tag(first), 0u);
+    EXPECT_TRUE(first->dirty);
+    Line expect;
+    expect.fill(0xc3);
+    EXPECT_TRUE(arr.data(first) == expect);
+    for (Addr set = 1; set <= 1500; ++set) {
+        const CacheLineState *f = arr.find(set * kLineBytes);
+        ASSERT_NE(f, nullptr);
+        EXPECT_EQ(arr.tag(f), set * kLineBytes);
+        EXPECT_EQ(arr.data(f)[63], std::uint8_t(set));
+    }
+}
+
+TEST(CacheArrayTest, InvalidateAllOnPartlyAllocatedArrayThenReinstall)
+{
+    CacheArray arr(64 * 1024, 4);  // 256 sets
+    const Addr stride = Addr(arr.numSets()) * kLineBytes;
+    // Two ways in each of 37 sets (spanning several block chunks).
+    std::vector<CacheLineState *> frames;
+    for (Addr set = 0; set < 37; ++set) {
+        for (Addr tag = 0; tag < 2; ++tag) {
+            const Addr line = tag * stride + set * 3 * kLineBytes;
+            CacheLineState *f = arr.victim(line);
+            arr.install(f, line);
+            arr.data(f).fill(std::uint8_t(set * 2 + tag + 1));
+            f->pinned = true;
+            frames.push_back(f);
+        }
+    }
+    EXPECT_EQ(arr.setsAllocated(), 37u);
+    EXPECT_EQ(arr.dataSlots(), 74u);
+
+    arr.invalidateAll();
+    for (CacheLineState *f : frames) {
+        EXPECT_FALSE(arr.valid(f));
+        EXPECT_FALSE(f->pinned);
+        EXPECT_EQ(f->lruStamp, 0u);
+    }
+    for (Addr set = 0; set < 37; ++set)
+        EXPECT_EQ(arr.find(set * 3 * kLineBytes), nullptr);
+    EXPECT_EQ(arr.setsAllocated(), 37u);
+
+    // Reinstalls land in the same frames, which keep their old bytes
+    // until a fill; nothing new is allocated.
+    std::size_t i = 0;
+    for (Addr set = 0; set < 37; ++set) {
+        for (Addr tag = 0; tag < 2; ++tag, ++i) {
+            const Addr line = (tag + 5) * stride + set * 3 * kLineBytes;
+            CacheLineState *f = arr.victim(line);
+            EXPECT_EQ(f, frames[i]);
+            arr.install(f, line);
+            EXPECT_EQ(arr.find(line), f);
+            EXPECT_EQ(arr.data(f)[0], std::uint8_t(set * 2 + tag + 1));
+        }
+    }
+    EXPECT_EQ(arr.setsAllocated(), 37u);
+    EXPECT_EQ(arr.dataSlots(), 74u);
 }
 
 TEST(CacheArrayTest, ReinstallIntoAnotherWayKeepsThatWaysBytes)

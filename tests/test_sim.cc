@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "sim/addr_table.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -691,6 +693,72 @@ TEST(EventQueueTest, NarrowWheelKeepsOrderRaisesSpillRatio)
 TEST(EventQueueDeathTest, RejectsNonPowerOfTwoWheel)
 {
     EXPECT_DEATH({ EventQueue eq(100); }, "power of two");
+}
+
+/** A pooled node that counts its live instances. */
+struct CountedNode
+{
+    static inline int live = 0;
+    CountedNode *next = nullptr;
+    std::uint64_t payload = 0;
+    std::vector<int> owned;  //!< non-trivial member: must be destroyed
+
+    CountedNode() { ++live; }
+    ~CountedNode() { --live; }
+};
+
+TEST(FreeListPoolTest, NodesNeverMoveAcrossGrowth)
+{
+    FreeListPool<CountedNode> pool;
+    std::vector<CountedNode *> nodes;
+    // Many chunk growths: each node keeps its address and payload.
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        CountedNode *n = pool.acquire();
+        EXPECT_EQ(n->next, nullptr);
+        n->payload = i * 7 + 1;
+        n->owned.assign(3, int(i));
+        nodes.push_back(n);
+    }
+    EXPECT_EQ(std::set<CountedNode *>(nodes.begin(), nodes.end()).size(),
+              nodes.size());
+    for (std::uint64_t i = 0; i < nodes.size(); ++i) {
+        EXPECT_EQ(nodes[i]->payload, i * 7 + 1);
+        EXPECT_EQ(nodes[i]->owned, std::vector<int>(3, int(i)));
+    }
+    EXPECT_EQ(pool.allocated(), 1000u);
+    EXPECT_EQ(pool.idle(), 0u);
+    EXPECT_EQ(CountedNode::live, 1000);
+}
+
+TEST(FreeListPoolTest, AllocatedCountsNodesHandedOutIdleCountsFreeOnes)
+{
+    {
+        FreeListPool<CountedNode> pool;
+        std::vector<CountedNode *> nodes;
+        for (int i = 0; i < 100; ++i)
+            nodes.push_back(pool.acquire());
+        std::set<CountedNode *> released;
+        for (int i = 0; i < 100; i += 2) {
+            pool.release(nodes[i]);
+            released.insert(nodes[i]);
+        }
+        EXPECT_EQ(pool.allocated(), 100u);
+        EXPECT_EQ(pool.idle(), 50u);
+        // Recycling hands back released nodes and grows nothing.
+        for (int i = 0; i < 50; ++i) {
+            CountedNode *n = pool.acquire();
+            EXPECT_EQ(released.count(n), 1u);
+            EXPECT_EQ(n->next, nullptr);
+        }
+        EXPECT_EQ(pool.allocated(), 100u);
+        EXPECT_EQ(pool.idle(), 0u);
+        // Past the free list, the high-water mark grows by one.
+        pool.acquire();
+        EXPECT_EQ(pool.allocated(), 101u);
+        EXPECT_EQ(CountedNode::live, 101);
+    }
+    // The pool destroys every node it constructed, live or idle.
+    EXPECT_EQ(CountedNode::live, 0);
 }
 
 } // namespace
