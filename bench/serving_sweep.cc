@@ -19,7 +19,9 @@
  * per-set cache footprint; the binary exits non-zero if any gate
  * fails. The 1024-tile machine then serves one transaction per core,
  * and its L1 and L2 footprint (sets allocated / configured, line-data
- * slots) is printed at construction and after that run.
+ * slots) is printed at construction and after that run, beside the
+ * architectural and NVM image footprint (pages, records, KB) after
+ * it; the NVM image's record bytes are gated.
  *
  * `--stats-json <path>` exports one row per run with a per-tenant
  * array: {"tenant": N, "commits": ..., "aus_acquires": ...,
@@ -198,6 +200,11 @@ residentMb()
  * +10.5 MB rounded up. */
 constexpr double kBuildResidentMbBound = 12.0;
 
+/** Bound on the NVM image's record bytes after the 1024-tile machine
+ * serves one transaction per core: the measured 2018 KB rounded up.
+ * Whole-page images held 977 pages (3908 KB) for the same run. */
+constexpr double kNvmRecordKbBound = 2048.0;
+
 /** Print the cache arrays' footprint per level: sets allocated out of
  * sets configured, and line-data slots handed out. */
 void
@@ -225,14 +232,37 @@ printCacheFootprint(System &sys, const char *when)
                 (unsigned long long)l2_slots);
 }
 
+/** Record bytes of @p img, in KB. */
+double
+recordKb(const DataImage &img)
+{
+    return double(img.recordsAllocated()) * DataImage::kRecordBytes / 1024.0;
+}
+
+/** Print the architectural and NVM images' footprint: pages indexed,
+ * 512-byte records materialized and the KB those records hold. */
+void
+printImageFootprint(System &sys, const char *when)
+{
+    const DataImage &arch = sys.archMem();
+    const DataImage &nvm = sys.nvmImage();
+    std::printf("image footprint %s: arch %llu pages, %llu records "
+                "(%.0f KB); NVM %llu pages, %llu records (%.0f KB)\n",
+                when, (unsigned long long)arch.pagesAllocated(),
+                (unsigned long long)arch.recordsAllocated(), recordKb(arch),
+                (unsigned long long)nvm.pagesAllocated(),
+                (unsigned long long)nvm.recordsAllocated(), recordKb(nvm));
+}
+
 /**
  * 1024-tile scaling gates: construction wall time, amortized
  * allocations per registered counter, resident growth of the build,
  * and stat dump/aggregation time over the full counter population.
  * Time budgets are deliberately generous (CI machines vary); the
  * pre-fix super-linear structures blew them by orders of magnitude.
- * The machine then serves one KV transaction per core, and its cache
- * footprint is printed at construction and after the run.
+ * The machine then serves one KV transaction per core; its cache
+ * footprint is printed at construction and after the run, its image
+ * footprint after the run, and the NVM image's record bytes are gated.
  */
 bool
 scalingGates()
@@ -314,6 +344,15 @@ scalingGates()
     std::printf("one txn per core: %llu committed in %llu cycles\n",
                 (unsigned long long)r.txns, (unsigned long long)r.cycles);
     printCacheFootprint(sys, "after run");
+    printImageFootprint(sys, "after run");
+    // Images materialize 512-byte records, not pages: most NVM pages
+    // the run touches are log buckets holding one or two records.
+    if (recordKb(sys.nvmImage()) > kNvmRecordKbBound) {
+        std::printf("!! NVM image holds %.0f KB of records (> %.0f KB "
+                    "bound)\n",
+                    recordKb(sys.nvmImage()), kNvmRecordKbBound);
+        ok = false;
+    }
     std::printf("scaling gates: %s\n", ok ? "OK" : "FAIL");
     return ok;
 }

@@ -6,7 +6,10 @@
  * an OS-reserved log region (Section IV-E of the paper). Pages are
  * interleaved across memory controllers at 4 KB granularity, so a log
  * *bucket* -- 8 records x 512 B = 4 KB -- is exactly one page that maps
- * wholly to one controller. L2 home tiles are line-interleaved.
+ * wholly to one controller. A log record is also exactly one record of
+ * the memory images (DataImage::kRecordBytes), so a bucket holding one
+ * live record costs the NVM image 512 B. L2 home tiles are
+ * line-interleaved.
  *
  * Page-granularity MC interleaving (vs gem5's line interleaving) keeps
  * log/data co-location well defined: ATOM sends a log entry to the MC
@@ -143,6 +146,8 @@ class AddressMap
 
     /** Bytes in one log record (8 lines). */
     static constexpr Addr kRecordBytes = 8 * kLineBytes;
+    static_assert(kRecordBytes == DataImage::kRecordBytes,
+                  "a log record is one memory-image record");
 
     std::uint32_t numMemCtrls() const { return _numMc; }
     std::uint32_t bucketsPerMc() const { return _bucketsPerMc; }

@@ -1,28 +1,32 @@
 #include "mem/phys_mem.hh"
 
-#include <algorithm>
+#include <new>
 
 #include "sim/logging.hh"
 
 namespace atomsim
 {
 
-const DataImage::Page *
-DataImage::findPage(Addr page_num) const
+void
+DataImage::FreeBlocks::operator()(Block *newest) const
 {
-    const auto *slot = _stripes[page_num % kStripes].find(page_num);
-    return slot ? slot->get() : nullptr;
+    while (newest) {
+        Block *prev = newest->prev;
+        ::operator delete(newest);
+        newest = prev;
+    }
 }
 
-DataImage::Page &
-DataImage::touchPage(Addr page_num)
+void
+DataImage::Stripe::addBlock(std::size_t n)
 {
-    auto &slot = _stripes[page_num % kStripes][page_num];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
-    return *slot;
+    // Records are left uninitialized: write() zeroes a record it only
+    // partly covers.
+    void *mem = ::operator new(sizeof(Block) + n * kRecordBytes);
+    Block *block = new (mem) Block{newest.release(), n};
+    newest.reset(block);
+    cursor = recordsOf(block);
+    blockEnd = cursor + n * kRecordBytes;
 }
 
 void
@@ -31,13 +35,18 @@ DataImage::read(Addr addr, std::size_t size, void *out) const
     auto *dst = static_cast<std::uint8_t *>(out);
     while (size > 0) {
         const Addr page_num = addr >> kPageShift;
-        const std::size_t off = addr & (kPageBytes - 1);
-        const std::size_t chunk = std::min(size, kPageBytes - off);
-        if (const Page *p = findPage(page_num))
-            std::memcpy(dst, p->data() + off, chunk);
-        else
-            std::memset(dst, 0, chunk);
-        dst += chunk;
+        const std::size_t chunk =
+            std::min(size, kPageBytes - std::size_t(addr & (kPageBytes - 1)));
+        const PageRecords *page =
+            _stripes[page_num % kStripes].pages.find(page_num);
+        forEachRun(page, addr, chunk,
+                   [&](const std::uint8_t *run, std::size_t len) {
+                       if (run)
+                           std::memcpy(dst, run, len);
+                       else
+                           std::memset(dst, 0, len);
+                       dst += len;
+                   });
         addr += chunk;
         size -= chunk;
     }
@@ -49,10 +58,27 @@ DataImage::write(Addr addr, std::size_t size, const void *in)
     auto *src = static_cast<const std::uint8_t *>(in);
     while (size > 0) {
         const Addr page_num = addr >> kPageShift;
-        const std::size_t off = addr & (kPageBytes - 1);
-        const std::size_t chunk = std::min(size, kPageBytes - off);
-        std::memcpy(touchPage(page_num).data() + off, src, chunk);
-        src += chunk;
+        const std::size_t chunk =
+            std::min(size, kPageBytes - std::size_t(addr & (kPageBytes - 1)));
+        Stripe &stripe = _stripes[page_num % kStripes];
+        // Valid across both loops: they insert nothing in the table.
+        PageRecords &page = stripe.pages[page_num];
+        // Materialize the missing records first, so records allocated
+        // together are then written as one run.
+        for (Addr rec_addr = addr & ~Addr(kRecordBytes - 1);
+             rec_addr < addr + chunk; rec_addr += kRecordBytes) {
+            std::uint8_t *&rec = page[recordIndex(rec_addr)];
+            if (rec)
+                continue;
+            rec = stripe.newRecord();
+            if (rec_addr < addr || rec_addr + kRecordBytes > addr + chunk)
+                std::memset(rec, 0, kRecordBytes);
+        }
+        forEachRun(&page, addr, chunk,
+                   [&](std::uint8_t *run, std::size_t len) {
+                       std::memcpy(run, src, len);
+                       src += len;
+                   });
         addr += chunk;
         size -= chunk;
     }
@@ -82,15 +108,55 @@ DataImage::writeLineWords(Addr addr, const Line &line, std::uint32_t words)
     write(lineAlign(addr), std::size_t(capped) * 8, line.data());
 }
 
+void
+DataImage::clear()
+{
+    for (auto &s : _stripes)
+        s = Stripe{};
+}
+
 DataImage
 DataImage::clone() const
 {
     DataImage copy;
     for (std::uint32_t s = 0; s < kStripes; ++s) {
-        _stripes[s].forEach(
-            [&](Addr num, const std::unique_ptr<Page> &page) {
-                copy._stripes[s][num] = std::make_unique<Page>(*page);
-            });
+        const Stripe &from = _stripes[s];
+        if (from.records == 0)
+            continue;
+        // Copy the slab with one memcpy per block, newest first, into
+        // one block, then repoint the copied index: a record moves by
+        // the offset its source block landed at.
+        Stripe &to = copy._stripes[s];
+        to.addBlock(from.records);
+        std::uint8_t *const base = to.cursor;
+        for (const Block *b = from.newest.get(); b; b = b->prev) {
+            const std::size_t used = from.usedEnd(b) - Stripe::recordsOf(b);
+            std::memcpy(to.cursor, Stripe::recordsOf(b), used);
+            to.cursor += used;
+        }
+        to.records = from.records;
+        to.pages = from.pages;
+        to.pages.forEach([&](Addr, PageRecords &page) {
+            for (std::uint8_t *&rec : page) {
+                if (!rec)
+                    continue;
+                const auto at = reinterpret_cast<std::uintptr_t>(rec);
+                // The newest blocks are the largest, so the walk
+                // usually stops at the first or second.
+                std::uint8_t *dst = base;
+                for (const Block *b = from.newest.get();; b = b->prev) {
+                    const auto first =
+                        reinterpret_cast<std::uintptr_t>(Stripe::recordsOf(b));
+                    const auto last =
+                        reinterpret_cast<std::uintptr_t>(from.usedEnd(b));
+                    if (at >= first && at < last) {
+                        rec = dst + (at - first);
+                        break;
+                    }
+                    dst += last - first;
+                }
+            }
+        });
     }
     return copy;
 }

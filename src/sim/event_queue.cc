@@ -18,6 +18,8 @@ class FuncEvent final : public Event
 
     void process() override { _fn(); }
 
+    FuncEvent *next = nullptr;  //!< FreeListPool link while idle
+
   private:
     friend class EventQueue;
 
@@ -260,34 +262,11 @@ EventQueue::deschedule(Event &ev)
     --_pending;
 }
 
-FuncEvent *
-EventQueue::acquirePooled()
-{
-    if (_freeList) {
-        auto *fe = static_cast<FuncEvent *>(_freeList);
-        _freeList = fe->_next;
-        fe->_next = nullptr;
-        --_poolFreeCount;
-        return fe;
-    }
-    _funcPool.push_back(std::make_unique<FuncEvent>());
-    FuncEvent *fe = _funcPool.back().get();
-    fe->_flags |= Event::kPooled;
-    return fe;
-}
-
-void
-EventQueue::releasePooled(FuncEvent *ev)
-{
-    ev->_next = _freeList;
-    _freeList = ev;
-    ++_poolFreeCount;
-}
-
 void
 EventQueue::post(Tick when, Callback cb)
 {
-    FuncEvent *fe = acquirePooled();
+    FuncEvent *fe = _funcPool.acquire();
+    fe->_flags |= Event::kPooled;
     fe->_fn = std::move(cb);
     schedule(*fe, when);
 }
@@ -375,7 +354,7 @@ EventQueue::executeNext(Tick t)
         auto *fe = static_cast<FuncEvent *>(ev);
         Callback fn = std::move(fe->_fn);
         fe->_fn = nullptr;
-        releasePooled(fe);
+        _funcPool.release(fe);
         fn();
     } else {
         ev->process();

@@ -26,8 +26,8 @@
  *
  * For one-shot continuations whose capture state is inherently dynamic
  * (cache-miss fills, mesh deliveries, NVM completions) the queue offers
- * post()/postIn(): the callback is moved into a FuncEvent drawn from an
- * internal free-list pool, so the steady-state hot loop performs zero
+ * post()/postIn(): the callback is moved into a FuncEvent drawn from a
+ * FreeListPool (sim/pool.hh), so the steady-state hot loop performs zero
  * queue-node allocations on this path too (the pool grows to the
  * high-water mark of in-flight one-shots and is then reused forever).
  *
@@ -68,10 +68,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/callback.hh"
+#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -114,7 +114,7 @@ class Event
     static constexpr std::uint16_t kPooled = 0x2;
     static constexpr std::uint16_t kInSpill = 0x4;
 
-    Event *_next = nullptr;        //!< bucket / free-list link
+    Event *_next = nullptr;        //!< bucket link
     EventQueue *_queue = nullptr;  //!< queue we are scheduled on
     Tick _when = 0;
     std::uint64_t _seq = 0;        //!< FIFO tie-breaker within a tick
@@ -241,7 +241,7 @@ class EventQueue
 
     /**
      * Run @p cb at absolute tick @p when. The callback is carried by a
-     * FuncEvent drawn from the internal free-list pool; the event
+     * FuncEvent drawn from the queue's FreeListPool; the event
      * object returns to the pool as it fires, so steady state allocates
      * no queue nodes.
      */
@@ -324,10 +324,10 @@ class EventQueue
     // --- pool introspection (tests / diagnostics) ---------------------
 
     /** FuncEvents ever allocated (pool high-water mark). */
-    std::size_t poolAllocated() const { return _funcPool.size(); }
+    std::size_t poolAllocated() const { return _funcPool.allocated(); }
 
     /** FuncEvents currently idle on the free list. */
-    std::size_t poolFree() const { return _poolFreeCount; }
+    std::size_t poolFree() const { return _funcPool.idle(); }
 
     // --- calendar-wheel tuning stats ----------------------------------
 
@@ -396,9 +396,6 @@ class EventQueue
     /** Pop and run the earliest event, known to be at tick @p t. */
     void executeNext(Tick t);
 
-    FuncEvent *acquirePooled();
-    void releasePooled(FuncEvent *ev);
-
     const std::uint32_t _wheelBuckets;
     const std::uint32_t _wheelMask;
     const std::uint32_t _bitmapWords;
@@ -417,9 +414,9 @@ class EventQueue
     std::size_t _pending = 0;
     std::size_t _wheelCount = 0;
 
-    std::vector<std::unique_ptr<FuncEvent>> _funcPool;
-    Event *_freeList = nullptr;
-    std::size_t _poolFreeCount = 0;
+    /** Declared last: destroyed after the destructor has orphaned
+     * every queued event. */
+    FreeListPool<FuncEvent> _funcPool;
 };
 
 } // namespace atomsim

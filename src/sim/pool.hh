@@ -7,6 +7,7 @@
  * template is that idiom in one place, so the no-allocation property
  * is auditable centrally. Users:
  *
+ *  - sim: EventQueue's pooled one-shot events (post()/postIn());
  *  - net: mesh packets;
  *  - cache: MSHR waiters, directory waiters, pending stores/flushes,
  *    parked L2 fills, invalidation joins (Round), L1 writeback-buffer
@@ -105,9 +106,6 @@ class FreeListPool
         std::size_t nodes;
     };
 
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "pool chunks come from plain operator new");
-
     static constexpr std::size_t
     nodeOffset()
     {
@@ -126,6 +124,10 @@ class FreeListPool
     void
     grow()
     {
+        // Checked here, not at class scope, so a pool member may be
+        // declared where T is still incomplete.
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                      "pool chunks come from plain operator new");
         const std::size_t n = _allocated == 0 ? 1 : _allocated;
         // Raw storage: a node is constructed when first handed out.
         auto *chunk = new (::operator new(nodeOffset() + n * sizeof(T)))

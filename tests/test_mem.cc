@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -16,6 +18,7 @@
 #include "mem/nvm_channel.hh"
 #include "mem/phys_mem.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -28,6 +31,7 @@ TEST(DataImageTest, ZeroInitializedReads)
     DataImage img;
     EXPECT_EQ(img.load64(0x1234), 0u);
     EXPECT_EQ(img.pagesAllocated(), 0u);
+    EXPECT_EQ(img.recordsAllocated(), 0u);
 }
 
 TEST(DataImageTest, ScalarRoundTrip)
@@ -51,6 +55,8 @@ TEST(DataImageTest, CrossPageWrite)
     img.read(addr, sizeof(back), back);
     EXPECT_EQ(std::memcmp(buf, back, sizeof(buf)), 0);
     EXPECT_EQ(img.pagesAllocated(), 2u);
+    // The last record of one page and the first of the next.
+    EXPECT_EQ(img.recordsAllocated(), 2u);
 }
 
 TEST(DataImageTest, LineRoundTripAligns)
@@ -68,10 +74,183 @@ TEST(DataImageTest, CloneIsDeep)
 {
     DataImage img;
     img.store64(0x40, 7);
+    img.store64(5 * kPageBytes + 0x300, 11);
     DataImage copy = img.clone();
+    EXPECT_EQ(copy.pagesAllocated(), 2u);
+    EXPECT_EQ(copy.recordsAllocated(), 2u);
+
+    // Original -> copy: an existing record and a new one.
     img.store64(0x40, 9);
+    img.store64(0x1000 + 0x200, 13);
     EXPECT_EQ(copy.load64(0x40), 7u);
+    EXPECT_EQ(copy.load64(0x1000 + 0x200), 0u);
     EXPECT_EQ(img.load64(0x40), 9u);
+
+    // Copy -> original, including records the copy adds after the one
+    // block clone() filled.
+    for (Addr a = 0; a < 64 * DataImage::kRecordBytes;
+         a += DataImage::kRecordBytes)
+        copy.store64(5 * kPageBytes + a, a + 1);
+    EXPECT_EQ(img.load64(5 * kPageBytes + 0x300), 11u);
+    EXPECT_EQ(img.load64(5 * kPageBytes + 0x800), 0u);
+    EXPECT_EQ(copy.load64(5 * kPageBytes + 0x800), 0x801u);
+    EXPECT_EQ(copy.load64(0x40), 7u);
+    EXPECT_EQ(img.recordsAllocated(), 3u);
+    EXPECT_EQ(copy.recordsAllocated(), 65u);
+}
+
+TEST(DataImageTest, ClearDropsEverything)
+{
+    DataImage img;
+    std::vector<std::uint8_t> buf(3 * kPageBytes, 0xab);
+    img.write(0x10000, buf.size(), buf.data());
+    img.clear();
+    EXPECT_EQ(img.pagesAllocated(), 0u);
+    EXPECT_EQ(img.recordsAllocated(), 0u);
+    EXPECT_EQ(img.load64(0x10000), 0u);
+    // Usable again after the clear.
+    img.store64(0x10008, 3);
+    EXPECT_EQ(img.load64(0x10008), 3u);
+    EXPECT_EQ(img.load64(0x10000), 0u);
+    EXPECT_EQ(img.recordsAllocated(), 1u);
+}
+
+// Memory materializes per 512-byte record, not per page.
+TEST(DataImageTest, FootprintFollowsRecordsWritten)
+{
+    DataImage img;
+    Line line;
+    line.fill(1);
+    img.writeLine(3 * kPageBytes + 0x240, line);
+    EXPECT_EQ(img.pagesAllocated(), 1u);
+    EXPECT_EQ(img.recordsAllocated(), 1u);
+
+    // Reads never materialize anything.
+    std::vector<std::uint8_t> buf(kPageBytes, 0);
+    img.read(7 * kPageBytes, buf.size(), buf.data());
+    EXPECT_EQ(img.pagesAllocated(), 1u);
+    EXPECT_EQ(img.recordsAllocated(), 1u);
+
+    // A whole page is all eight of its records; the page already held
+    // one of them.
+    std::fill(buf.begin(), buf.end(), 2);
+    img.write(3 * kPageBytes, buf.size(), buf.data());
+    EXPECT_EQ(img.pagesAllocated(), 1u);
+    EXPECT_EQ(img.recordsAllocated(), DataImage::kRecordsPerPage);
+    img.write(9 * kPageBytes, buf.size(), buf.data());
+    EXPECT_EQ(img.pagesAllocated(), 2u);
+    EXPECT_EQ(img.recordsAllocated(), 2 * DataImage::kRecordsPerPage);
+
+    // A line write lands in exactly one record.
+    img.writeLine(11 * kPageBytes + DataImage::kRecordBytes - kLineBytes,
+                  line);
+    EXPECT_EQ(img.pagesAllocated(), 3u);
+    EXPECT_EQ(img.recordsAllocated(), 2 * DataImage::kRecordsPerPage + 1);
+}
+
+// Random reads and writes of 1..9000 bytes (straddling record and page
+// boundaries, touching every stripe) against a flat byte array. A third
+// of the way in the image is replaced by its own clone, so writes also
+// land in a cloned slab; two thirds in it is cleared. The footprint
+// must be exactly the records and pages written.
+TEST(DataImageTest, MatchesAFlatReferenceUnderRandomAccess)
+{
+    constexpr Addr kBase = Addr(0x3000) * kPageBytes;
+    constexpr std::size_t kSpan = 48 * kPageBytes;
+    std::vector<std::uint8_t> ref(kSpan, 0);
+    std::set<std::size_t> records;
+    std::set<std::size_t> pages;
+    auto touch = [&](std::size_t off, std::size_t size) {
+        for (std::size_t r = off / DataImage::kRecordBytes;
+             r <= (off + size - 1) / DataImage::kRecordBytes; ++r)
+            records.insert(r);
+        for (std::size_t p = off / kPageBytes;
+             p <= (off + size - 1) / kPageBytes; ++p)
+            pages.insert(p);
+    };
+
+    DataImage img;
+    Random rng(17);
+    std::vector<std::uint8_t> buf(9000);
+    std::uint64_t reads = 0;
+    for (int op = 0; op < 60000; ++op) {
+        // Mostly small accesses, some up to 9000 bytes; a third of the
+        // offsets start just before a record boundary.
+        const std::uint64_t roll = rng.below(10);
+        const std::size_t size = roll < 5   ? rng.range(1, 64)
+                                 : roll < 8 ? rng.range(1, 1100)
+                                            : rng.range(1, 9000);
+        std::size_t off;
+        if (rng.below(3) == 0) {
+            const std::size_t edge =
+                rng.range(1, kSpan / DataImage::kRecordBytes - 1) *
+                DataImage::kRecordBytes;
+            off = edge - std::min<std::size_t>(edge, rng.range(1, 80));
+        } else {
+            off = rng.below(kSpan);
+        }
+        off = std::min(off, kSpan - size);
+        const Addr addr = kBase + off;
+
+        switch (rng.below(4)) {
+          case 0: {
+            img.read(addr, size, buf.data());
+            ASSERT_EQ(std::memcmp(buf.data(), &ref[off], size), 0)
+                << "op " << op << " read " << size << " at +" << off;
+            ++reads;
+            break;
+          }
+          case 1: {
+            for (std::size_t i = 0; i < size; ++i)
+                buf[i] = std::uint8_t(rng.next());
+            img.write(addr, size, buf.data());
+            std::memcpy(&ref[off], buf.data(), size);
+            touch(off, size);
+            break;
+          }
+          case 2: {
+            Line line;
+            for (auto &b : line)
+                b = std::uint8_t(rng.next());
+            img.writeLine(addr, line);
+            const std::size_t at = off & ~std::size_t(kLineBytes - 1);
+            std::memcpy(&ref[at], line.data(), kLineBytes);
+            touch(at, kLineBytes);
+            break;
+          }
+          default: {
+            Line line;
+            for (auto &b : line)
+                b = std::uint8_t(rng.next());
+            const auto words = std::uint32_t(rng.below(10));
+            img.writeLineWords(addr, line, words);
+            const std::size_t n = std::min<std::uint32_t>(words, 8) * 8;
+            const std::size_t at = off & ~std::size_t(kLineBytes - 1);
+            std::memcpy(&ref[at], line.data(), n);
+            if (n)
+                touch(at, n);
+            break;
+          }
+        }
+        if (op == 20000) {
+            img = img.clone();
+        } else if (op == 40000) {
+            // Records written after a clear reuse freed blocks, so a
+            // record that is not zeroed on first write shows old bytes.
+            img.clear();
+            std::fill(ref.begin(), ref.end(), 0);
+            records.clear();
+            pages.clear();
+        }
+    }
+    EXPECT_GT(reads, 10000u);
+
+    std::vector<std::uint8_t> all(kSpan);
+    img.read(kBase, kSpan, all.data());
+    EXPECT_EQ(all, ref);
+    EXPECT_EQ(img.recordsAllocated(), records.size());
+    EXPECT_EQ(img.pagesAllocated(), pages.size());
+    EXPECT_EQ(img.clone().recordsAllocated(), records.size());
 }
 
 class AddressMapTest : public ::testing::Test
