@@ -33,10 +33,8 @@ namespace bench
 
 /**
  * FNV-1a hash of the (tick, node, kind) mesh delivery stream -- the
- * byte-identity fingerprint the always-built benches
- * (parallel_scaling, hybrid_sweep) compare across shard counts. One
- * definition here so the two benches' hashes stay comparable; the
- * golden tests use the same mixing in golden::TraceHasher.
+ * byte-identity fingerprint of a bench run; the golden tests use the
+ * same mixing in golden::TraceHasher.
  */
 class StreamHashTracer : public Mesh::Tracer
 {

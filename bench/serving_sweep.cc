@@ -15,8 +15,7 @@
  * resident-memory growth, and stat dump/aggregation over the full
  * 1024-tile counter population must stay in bounds. These gates pin
  * the fixes for the structures that were O(cores^2)-ish at 1024 tiles
- * (ordered-map stat registration, the dense lookahead matrix) and the
- * per-set cache footprint; the binary exits non-zero if any gate
+ * (ordered-map stat registration) and the per-set cache footprint; the binary exits non-zero if any gate
  * fails. The 1024-tile machine then serves one transaction per core,
  * and its L1 and L2 footprint (sets allocated / configured, line-data
  * slots) is printed at construction and after that run, beside the
@@ -29,7 +28,6 @@
  * {"count", "p50", "p95", "p99"}}.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -47,14 +45,13 @@
 
 namespace
 {
-// Relaxed atomic: sharded worker threads allocate too.
-std::atomic<std::uint64_t> g_allocCount{0};
+std::uint64_t g_allocCount = 0;
 }
 
 void *
 operator new(std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -63,7 +60,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -272,7 +269,7 @@ scalingGates()
 
     const SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
     KvWorkload workload(paramsFor({1024, 0, 0.99, 1}));
-    const std::uint64_t a0 = g_allocCount.load();
+    const std::uint64_t a0 = g_allocCount;
     // Hand the sweep's freed heap back first, so the growth below is
     // this System's own footprint and not memory the allocator reuses.
     malloc_trim(0);
@@ -282,7 +279,7 @@ scalingGates()
     System &sys = runner.system();
     const auto t1 = std::chrono::steady_clock::now();
     const double build_s = std::chrono::duration<double>(t1 - t0).count();
-    const std::uint64_t build_allocs = g_allocCount.load() - a0;
+    const std::uint64_t build_allocs = g_allocCount - a0;
     const double build_mb = residentMb() - rss0;
 
     const auto dump = std::as_const(sys).stats().dump();

@@ -13,7 +13,6 @@
 #ifndef ATOMSIM_CPU_CORE_HH
 #define ATOMSIM_CPU_CORE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -39,10 +38,6 @@ class L1Cache;
 class TransactionSource
 {
   public:
-    /** Continuation of a fetch: true when the core's buffer holds the
-     * next transaction, false when the source is exhausted. */
-    using FetchDone = InplaceFunction<void(bool), 16>;
-
     virtual ~TransactionSource() = default;
 
     /**
@@ -51,18 +46,6 @@ class TransactionSource
      */
     virtual bool next(CoreId core, Transaction &txn) = 0;
 
-    /**
-     * Asynchronous fetch into @p txn: @p done receives next()'s
-     * result. Default: inline. Sharded runners override this to route
-     * the (functional, shared-state) workload dispatch through the
-     * barrier control plane so per-tile domains never race on it; the
-     * core does not touch @p txn until @p done runs.
-     */
-    virtual void
-    fetchNext(CoreId core, Transaction &txn, FetchDone done)
-    {
-        done(next(core, txn));
-    }
 };
 
 /**
@@ -112,9 +95,8 @@ class DesignHooks
  * region would let a core whose pre-region loads finish early commit
  * ahead of a functionally-earlier peer, and rolling that peer back
  * after a crash leaves durable writes that structurally assume the
- * rolled-back update. Opt-in via
- * SystemConfig::serializeAtomicRegions (sequential kernel only); the
- * per-core micro workloads never need it, so default timing -- and
+ * rolled-back update. Opt-in via SystemConfig::serializeAtomicRegions;
+ * the per-core micro workloads never need it, so default timing -- and
  * every pinned golden -- is unchanged.
  */
 class RegionSerializer
@@ -166,13 +148,12 @@ class RegionSerializer
 /**
  * Machine-wide core progress, bumped by the cores themselves so a run
  * loop can test "every core idle" or "N commits" in O(1) instead of
- * scanning the cores before every event. Atomic because sharded runs
- * bump it from per-domain worker threads.
+ * scanning the cores before every event.
  */
 struct CoreTally
 {
-    std::atomic<std::uint32_t> idle{0};       //!< cores gone idle
-    std::atomic<std::uint64_t> committed{0};  //!< transactions committed
+    std::uint32_t idle = 0;       //!< cores gone idle
+    std::uint64_t committed = 0;  //!< transactions committed
 };
 
 /** One simulated core. */
@@ -186,9 +167,8 @@ class Core
      * Completion hook for latency measurement: fires once per
      * transaction when its last op retires, with the dispatch tick
      * (transaction received from the source) and the completion tick.
-     * Runs on the core's own domain queue, so what it observes is
-     * shard-invariant. Purely observational -- installing one never
-     * changes simulated behavior.
+     * Purely observational -- installing one never changes simulated
+     * behavior.
      */
     using TxnObserver = std::function<void(
         CoreId, const Transaction &, Tick start, Tick end)>;
@@ -215,26 +195,11 @@ class Core
 
     std::uint64_t committed() const { return _statCommitted.value(); }
 
-    /**
-     * Lower bound on the tick of this core's next control-plane
-     * submission (Atomic_Begin/End hook call or transaction fetch).
-     *
-     * The in-order core inserts a computeGap between consecutive ops,
-     * so from the currently executing op the next transaction-boundary
-     * op is at least (ops until boundary) x computeGap away. The bound
-     * is updated at op issue and goes kTickNever once the source is
-     * exhausted. It may be stale-low while the core idles inside a
-     * window (the sharded engine maxes it with live queue bounds); it
-     * is never higher than the true next submission tick.
-     */
-    Tick ctrlLowerBound() const { return _ctrlLB; }
-
   private:
     void nextTransaction();
     void fetchTransaction();
     void execOp(std::size_t idx);
     void opDone(std::size_t idx);
-    void updateCtrlBound(std::size_t idx);
 
     CoreId _id;
     EventQueue &_eq;
@@ -252,9 +217,6 @@ class Core
     bool _done = false;
     TxnObserver _observer;
     Tick _txnStart = 0;  //!< dispatch tick of the running transaction
-
-    Tick _ctrlLB = 0;             //!< see ctrlLowerBound()
-    std::size_t _ctrlNextIdx = 0; //!< cached next boundary-op index
 
     // Recurring kernel events (one of each pending at most; the core
     // is in-order, so op completion and the inter-op gap alternate).

@@ -105,76 +105,11 @@ DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
 }
 
 void
-DesignContext::setSharded(std::vector<SimDomain *> domains,
-                          const ShardLayout &layout)
-{
-    _domains = std::move(domains);
-    _layout = layout;
-}
-
-EventQueue &
-DesignContext::hereQueue()
-{
-    SimDomain *d = SimDomain::current();
-    return d ? d->queue() : _eq;
-}
-
-EventQueue &
-DesignContext::coreQueue(CoreId core)
-{
-    return _domains.empty()
-               ? _eq
-               : _domains[_layout.coreDomain(core)]->queue();
-}
-
-void
-DesignContext::shardedBegin(CoreId core, Done done)
-{
-    _pool.acquire(core, [this, core, done = std::move(done)](
-                            std::uint32_t slot) mutable {
-        // Leader context: every LogM's domain is parked at the
-        // barrier, so arming the AUS registers directly is safe. The
-        // continuation resumes the core, so it posts into the core's
-        // own domain queue.
-        for (auto &logm : _logms)
-            logm->beginUpdate(slot);
-        coreQueue(core).postIn(1, std::move(done));
-    });
-}
-
-void
-DesignContext::shardedTruncate(CoreId core)
-{
-    const int slot = _pool.slotOf(core);
-    panic_if(slot < 0, "truncate without an AUS (core %u)", core);
-    _commit[core].truncLeft = std::uint32_t(_logms.size());
-
-    for (std::uint32_t m = 0; m < _logms.size(); ++m) {
-        // Execute each LogM's truncate in its own domain scope: the
-        // completion (inline when quiesced, or later on the MC's
-        // worker) hops back to the control plane under the canonical
-        // key (tick, core, mc).
-        SimDomain::Scope scope(_domains[_layout.mcDomain(m)]);
-        _logms[m]->truncate(std::uint32_t(slot), [this, core, m] {
-            SimDomain::current()->submitControl(
-                core, m, InplaceCallback<64>([this, core] {
-                    CommitState &c = _commit[core];
-                    if (--c.truncLeft != 0)
-                        return;
-                    _pool.release(core);
-                    countCommit(core);
-                    coreQueue(core).postIn(1, std::move(c.done));
-                }));
-        });
-    }
-}
-
-void
 DesignContext::atomicBegin(CoreId core, Done done)
 {
     switch (_cfg.design) {
       case DesignKind::NonAtomic:
-        hereQueue().postIn(1, std::move(done));
+        _eq.postIn(1, std::move(done));
         return;
 
       case DesignKind::Redo:
@@ -185,15 +120,6 @@ DesignContext::atomicBegin(CoreId core, Done done)
       case DesignKind::Base:
       case DesignKind::Atom:
       case DesignKind::AtomOpt:
-        if (!_domains.empty()) {
-            SimDomain::current()->submitControl(
-                core, ctrlsub::kBegin,
-                InplaceCallback<64>(
-                    [this, core, done = std::move(done)]() mutable {
-                        shardedBegin(core, std::move(done));
-                    }));
-            return;
-        }
         if (_commit[core].inFlight) {
             // Eventual durability: this core's previous commit was
             // acked from the staging window and its truncation is
@@ -287,14 +213,6 @@ void
 DesignContext::afterFlush(CoreId core)
 {
     CommitState &c = _commit[core];
-    if (!_domains.empty()) {
-        // Flushes completed on the cache-complex domain; hand the
-        // cross-domain truncate to the barrier leader.
-        SimDomain::current()->submitControl(
-            core, ctrlsub::kTruncate,
-            InplaceCallback<64>([this, core] { shardedTruncate(core); }));
-        return;
-    }
     if (_cfg.durabilityPolicy == DurabilityPolicy::Eventual &&
         _stagedCommits < _cfg.ssdStagingWindow) {
         // Eventual durability: ack from the volatile staging window.

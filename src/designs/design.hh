@@ -24,7 +24,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -125,32 +124,6 @@ class DesignContext : public DesignHooks
     void atomicEnd(CoreId core, const std::vector<Addr> &modified_lines,
                    Done done) override;
 
-    /**
-     * Sharded runs: AUS acquisition and log-manager arm/truncate are
-     * zero-latency cross-domain register operations, so they cannot
-     * run mid-window -- they are queued as control ops and executed by
-     * the barrier leader in canonical (tick, core) order. @p domains
-     * is the full domain list; @p layout maps cores/MCs to domains.
-     */
-    void setSharded(std::vector<SimDomain *> domains,
-                    const ShardLayout &layout);
-
-    /**
-     * True while any core's commit-time truncate is waiting on MC
-     * completions (sharded mode). The completions arrive as control
-     * submissions from MC-domain events, so while one is in flight the
-     * sharded engine must bound the control plane by the MC domains'
-     * own progress, not just the cores'.
-     */
-    bool
-    truncInFlight() const
-    {
-        for (const CommitState &c : _commit)
-            if (c.truncLeft != 0)
-                return true;
-        return false;
-    }
-
     /** Per-core tenant commit counters ("tenantN.commits"); empty (the
      * default) disables per-tenant accounting. */
     void
@@ -197,23 +170,15 @@ class DesignContext : public DesignHooks
         // --- truncation at every controller --------------------------
         std::uint32_t truncLeft = 0;  //!< controllers still truncating
         Done truncated;
-        // --- eventual durability (sequential kernel only) ------------
+        // --- eventual durability ------------------------------------
         /** An early-acked commit's truncation still runs, so the AUS
          * slot is not yet released and a new begin must park. */
         bool inFlight = false;
         Done parkedBegin;
     };
 
-    /** Leader-executed: acquire an AUS + arm every LogM. */
-    void shardedBegin(CoreId core, Done done);
-
-    /** Leader-executed: truncate @p core's AUS at every controller;
-     * per-MC completions hop back through the control plane, then
-     * the commit's Done resumes the core. */
-    void shardedTruncate(CoreId core);
-
-    /** Undo designs, after the commit flushes: truncate (sharded,
-     * staged or synchronous) and complete the commit. */
+    /** Undo designs, after the commit flushes: truncate (staged or
+     * synchronous) and complete the commit. */
     void afterFlush(CoreId core);
 
     /** Flush @p lines durably with a bounded issue window. */
@@ -229,15 +194,6 @@ class DesignContext : public DesignHooks
     /** One controller finished truncating @p core's AUS. */
     void truncateDone(CoreId core);
 
-    /** The queue of the domain executing on this thread (sharded), or
-     * the machine queue (sequential): where an inline hook running in
-     * a core's context must post its continuation. */
-    EventQueue &hereQueue();
-
-    /** The queue @p core's continuations belong to (leader context:
-     * the core's domain queue when sharded). */
-    EventQueue &coreQueue(CoreId core);
-
     EventQueue &_eq;
     const SystemConfig &_cfg;
     std::vector<std::unique_ptr<LogM>> &_logms;
@@ -245,17 +201,11 @@ class DesignContext : public DesignHooks
     AusPool &_pool;
     RedoEngine *_redo;
 
-    // --- sharded-mode state (leader-only) ----------------------------
-    std::vector<SimDomain *> _domains;       //!< empty when sequential
-    ShardLayout _layout;
-
     std::vector<CommitState> _commit;        //!< per core
 
     std::vector<Counter *> _tenantCommits;   //!< per core; may be empty
 
-    // --- eventual durability (sequential kernel only; the staging
-    // window is cross-domain state, so config validation rejects the
-    // policy under sharding) ------------------------------------------
+    // --- eventual durability -----------------------------------------
     std::uint32_t _stagedCommits = 0;
     std::uint32_t _stagedPeak = 0;
 

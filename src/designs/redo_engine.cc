@@ -418,16 +418,16 @@ RedoEngine::powerFail()
         ms.applyLogAddr.clear();
         ms.backendBusy = false;
     }
-    for (VictimCache &shard : _victims)
-        shard.clear();
+    for (VictimCache &victims : _victims)
+        victims.clear();
 }
 
 std::size_t
 RedoEngine::victimLines() const
 {
     std::size_t lines = 0;
-    for (const VictimCache &shard : _victims)
-        lines += shard.size();
+    for (const VictimCache &victims : _victims)
+        lines += victims.size();
     return lines;
 }
 

@@ -74,14 +74,13 @@ class RedoEngine : public StoreLogger
     void commitTxn(CoreId core, InplaceCallback<32> done);
 
     /**
-     * The infinite victim cache, sharded per home tile: every access
-     * to a line -- the eviction that parks it and the miss that finds
-     * it -- happens at the line's home L2 slice, so each tile's shard
-     * is only ever touched from that tile's simulation domain.
+     * The infinite victim cache of home tile @p tile: every access to
+     * a line -- the eviction that parks it and the miss that finds it
+     * -- happens at the line's home L2 slice.
      */
     VictimCache &victimCache(std::uint32_t tile) { return _victims[tile]; }
 
-    /** Parked victim lines across every tile shard (tests). */
+    /** Parked victim lines across every tile (tests). */
     std::size_t victimLines() const;
 
     /** Entries still waiting for in-place application (tests). */
@@ -174,7 +173,7 @@ class RedoEngine : public StoreLogger
     /** One recurring combine-buffer drain event per core (at most one
      * drain step pending per core; see CoreState::draining). */
     std::vector<std::unique_ptr<TickEvent>> _drainEvents;
-    std::vector<VictimCache> _victims;  //!< one shard per home tile
+    std::vector<VictimCache> _victims;  //!< one per home tile
 
     Counter &_statEntries;
     Counter &_statCombined;

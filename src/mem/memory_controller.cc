@@ -594,9 +594,9 @@ MemoryController::powerFail()
     // staleness rule as completed writes (a parked writeback replayed
     // behind a newer commit of its line must not resurface, not even
     // partially). Queued-but-unissued writes never reached the device
-    // and are dropped atomically as before. The tear boundary hashes
-    // only shard-invariant keys, so the post-crash image is identical
-    // across reruns and shard counts.
+    // and are dropped atomically as before. The tear boundary is a
+    // pure hash (sim/fault.hh), so the post-crash image is identical
+    // across reruns.
     if (_cfg.tornWrites && !_deviceWrites.empty()) {
         std::sort(_deviceWrites.begin(), _deviceWrites.end(),
                   [](const Request *a, const Request *b) {

@@ -1,6 +1,8 @@
 #include "mem/phys_mem.hh"
 
+#include <iterator>
 #include <new>
+#include <vector>
 
 #include "sim/logging.hh"
 
@@ -18,15 +20,15 @@ DataImage::FreeBlocks::operator()(Block *newest) const
 }
 
 void
-DataImage::Stripe::addBlock(std::size_t n)
+DataImage::addBlock(std::size_t n)
 {
     // Records are left uninitialized: write() zeroes a record it only
     // partly covers.
     void *mem = ::operator new(sizeof(Block) + n * kRecordBytes);
-    Block *block = new (mem) Block{newest.release(), n};
-    newest.reset(block);
-    cursor = recordsOf(block);
-    blockEnd = cursor + n * kRecordBytes;
+    Block *block = new (mem) Block{_newest.release(), n};
+    _newest.reset(block);
+    _cursor = recordsOf(block);
+    _blockEnd = _cursor + n * kRecordBytes;
 }
 
 void
@@ -37,8 +39,7 @@ DataImage::read(Addr addr, std::size_t size, void *out) const
         const Addr page_num = addr >> kPageShift;
         const std::size_t chunk =
             std::min(size, kPageBytes - std::size_t(addr & (kPageBytes - 1)));
-        const PageRecords *page =
-            _stripes[page_num % kStripes].pages.find(page_num);
+        const PageRecords *page = _pages.find(page_num);
         forEachRun(page, addr, chunk,
                    [&](const std::uint8_t *run, std::size_t len) {
                        if (run)
@@ -60,9 +61,8 @@ DataImage::write(Addr addr, std::size_t size, const void *in)
         const Addr page_num = addr >> kPageShift;
         const std::size_t chunk =
             std::min(size, kPageBytes - std::size_t(addr & (kPageBytes - 1)));
-        Stripe &stripe = _stripes[page_num % kStripes];
         // Valid across both loops: they insert nothing in the table.
-        PageRecords &page = stripe.pages[page_num];
+        PageRecords &page = _pages[page_num];
         // Materialize the missing records first, so records allocated
         // together are then written as one run.
         for (Addr rec_addr = addr & ~Addr(kRecordBytes - 1);
@@ -70,7 +70,7 @@ DataImage::write(Addr addr, std::size_t size, const void *in)
             std::uint8_t *&rec = page[recordIndex(rec_addr)];
             if (rec)
                 continue;
-            rec = stripe.newRecord();
+            rec = newRecord();
             if (rec_addr < addr || rec_addr + kRecordBytes > addr + chunk)
                 std::memset(rec, 0, kRecordBytes);
         }
@@ -111,53 +111,48 @@ DataImage::writeLineWords(Addr addr, const Line &line, std::uint32_t words)
 void
 DataImage::clear()
 {
-    for (auto &s : _stripes)
-        s = Stripe{};
+    *this = DataImage();
 }
 
 DataImage
 DataImage::clone() const
 {
     DataImage copy;
-    for (std::uint32_t s = 0; s < kStripes; ++s) {
-        const Stripe &from = _stripes[s];
-        if (from.records == 0)
-            continue;
-        // Copy the slab with one memcpy per block, newest first, into
-        // one block, then repoint the copied index: a record moves by
-        // the offset its source block landed at.
-        Stripe &to = copy._stripes[s];
-        to.addBlock(from.records);
-        std::uint8_t *const base = to.cursor;
-        for (const Block *b = from.newest.get(); b; b = b->prev) {
-            const std::size_t used = from.usedEnd(b) - Stripe::recordsOf(b);
-            std::memcpy(to.cursor, Stripe::recordsOf(b), used);
-            to.cursor += used;
-        }
-        to.records = from.records;
-        to.pages = from.pages;
-        to.pages.forEach([&](Addr, PageRecords &page) {
-            for (std::uint8_t *&rec : page) {
-                if (!rec)
-                    continue;
-                const auto at = reinterpret_cast<std::uintptr_t>(rec);
-                // The newest blocks are the largest, so the walk
-                // usually stops at the first or second.
-                std::uint8_t *dst = base;
-                for (const Block *b = from.newest.get();; b = b->prev) {
-                    const auto first =
-                        reinterpret_cast<std::uintptr_t>(Stripe::recordsOf(b));
-                    const auto last =
-                        reinterpret_cast<std::uintptr_t>(from.usedEnd(b));
-                    if (at >= first && at < last) {
-                        rec = dst + (at - first);
-                        break;
-                    }
-                    dst += last - first;
-                }
-            }
-        });
+    if (_records == 0)
+        return copy;
+    // Copy the slab with one memcpy per block, newest first, into one
+    // block, then repoint the copied index: a record moves by the
+    // offset its source block landed at.
+    struct Moved
+    {
+        std::uintptr_t first;  //!< source block's first record
+        std::uint8_t *to;      //!< where that record landed
+    };
+    std::vector<Moved> moved;
+    copy.addBlock(_records);
+    for (const Block *b = _newest.get(); b; b = b->prev) {
+        const std::size_t used = usedEnd(b) - recordsOf(b);
+        std::memcpy(copy._cursor, recordsOf(b), used);
+        moved.push_back(
+            {reinterpret_cast<std::uintptr_t>(recordsOf(b)), copy._cursor});
+        copy._cursor += used;
     }
+    std::sort(moved.begin(), moved.end(),
+              [](const Moved &a, const Moved &b) { return a.first < b.first; });
+    copy._records = _records;
+    copy._pages = _pages;
+    copy._pages.forEach([&](Addr, PageRecords &page) {
+        for (std::uint8_t *&rec : page) {
+            if (!rec)
+                continue;
+            const auto at = reinterpret_cast<std::uintptr_t>(rec);
+            // The last block starting at or before the record holds it.
+            const Moved &m = *std::prev(std::upper_bound(
+                moved.begin(), moved.end(), at,
+                [](std::uintptr_t a, const Moved &b) { return a < b.first; }));
+            rec = m.to + (at - m.first);
+        }
+    });
     return copy;
 }
 

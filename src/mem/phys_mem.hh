@@ -44,19 +44,12 @@ constexpr std::uint32_t kPageShift = 12;
  * frame -- so a log page holding one live record costs 512 B, not the
  * whole 4 KB page.
  *
- * The page index is *striped* by page number: because memory
- * controllers interleave at page granularity (mem/address_map.hh maps
- * page p -- data, log bucket and ADR alike -- to MC p % numMemCtrls),
- * controller m only ever touches stripes congruent to m, so in sharded
- * runs concurrent MC domains never share an index structure or a
- * record slab and need no locks. Within one stripe the image is
- * single-writer. Each stripe is a flat AddrTable keyed by page number
- * whose entry holds the page's eight record pointers (null until that
- * record is first written), so an access costs one hash lookup per
- * page it touches. Records come from the stripe's slab of blocks that
- * double up to a cap, so materializing a record costs no allocation
- * of its own, and records that sit back to back in the slab are
- * copied as one run.
+ * The page index is a flat AddrTable keyed by page number whose entry
+ * holds the page's eight record pointers (null until that record is
+ * first written), so an access costs one hash lookup per page it
+ * touches. Records come from a slab of blocks that double up to a
+ * cap, so materializing a record costs no allocation of its own, and
+ * records that sit back to back in the slab are copied as one run.
  */
 class DataImage
 {
@@ -115,36 +108,17 @@ class DataImage
     }
 
     /** Number of materialized pages (for tests / footprint stats). */
-    std::size_t
-    pagesAllocated() const
-    {
-        std::size_t n = 0;
-        for (const auto &s : _stripes)
-            n += s.pages.size();
-        return n;
-    }
+    std::size_t pagesAllocated() const { return _pages.size(); }
 
     /** Number of materialized 512-byte records. */
-    std::size_t
-    recordsAllocated() const
-    {
-        std::size_t n = 0;
-        for (const auto &s : _stripes)
-            n += s.records;
-        return n;
-    }
+    std::size_t recordsAllocated() const { return _records; }
 
     /** Drop all contents. */
     void clear();
 
-    /** Deep copy of the records that exist: each stripe's slab is
-     * copied whole into one block (seeds the NVM image; crash tests
-     * snapshot it). */
+    /** Deep copy of the records that exist: the slab is copied whole
+     * into one block (seeds the NVM image; crash tests snapshot it). */
     DataImage clone() const;
-
-    /** Stripes of the page index; a multiple of every supported MC
-     * count, so each controller's residue class is private to it. */
-    static constexpr std::uint32_t kStripes = 32;
 
     /** Bytes in one record, the unit in which memory materializes. */
     static constexpr std::uint32_t kRecordBytes = 512;
@@ -157,62 +131,51 @@ class DataImage
     /** Header of a slab block; the block's records follow it. */
     struct alignas(16) Block
     {
-        Block *prev;          //!< the next older block of the stripe
+        Block *prev;          //!< the next older block
         std::size_t records;  //!< capacity, in records
     };
 
-    /** Frees a stripe's blocks, newest first. */
+    /** Frees the slab's blocks, newest first. */
     struct FreeBlocks
     {
         void operator()(Block *newest) const;
     };
 
-    /** One stripe: its page index and the slab its records live in. */
-    struct Stripe
+    /** Storage for one record (indeterminate bytes). */
+    std::uint8_t *
+    newRecord()
     {
-        AddrTable<PageRecords> pages;
-        std::unique_ptr<Block, FreeBlocks> newest;  //!< owns the chain
-        std::uint8_t *cursor = nullptr;    //!< next unused record
-        std::uint8_t *blockEnd = nullptr;  //!< end of the newest block
-        std::size_t records = 0;
+        if (_cursor == _blockEnd)
+            addBlock(std::min(std::max(_records, kFirstBlockRecords),
+                              kMaxBlockRecords));
+        std::uint8_t *rec = _cursor;
+        _cursor += kRecordBytes;
+        ++_records;
+        return rec;
+    }
 
-        /** Storage for one record (indeterminate bytes). */
-        std::uint8_t *
-        newRecord()
-        {
-            if (cursor == blockEnd)
-                addBlock(std::min(std::max(records, kFirstBlockRecords),
-                                  kMaxBlockRecords));
-            std::uint8_t *rec = cursor;
-            cursor += kRecordBytes;
-            ++records;
-            return rec;
-        }
+    /** Chain a new newest block of @p n records. */
+    void addBlock(std::size_t n);
 
-        /** Chain a new newest block of @p n records. */
-        void addBlock(std::size_t n);
+    /** The records of block @p b. */
+    static std::uint8_t *
+    recordsOf(const Block *b)
+    {
+        auto *block = const_cast<Block *>(b);
+        return reinterpret_cast<std::uint8_t *>(block + 1);
+    }
 
-        /** The records of block @p b. */
-        static std::uint8_t *
-        recordsOf(const Block *b)
-        {
-            auto *block = const_cast<Block *>(b);
-            return reinterpret_cast<std::uint8_t *>(block + 1);
-        }
-
-        /** End of block @p b's records in use (only the newest block
-         * is partly used). */
-        const std::uint8_t *
-        usedEnd(const Block *b) const
-        {
-            return b == newest.get()
-                       ? cursor
-                       : recordsOf(b) + b->records * kRecordBytes;
-        }
-    };
+    /** End of block @p b's records in use (only the newest block is
+     * partly used). */
+    const std::uint8_t *
+    usedEnd(const Block *b) const
+    {
+        return b == _newest.get() ? _cursor
+                                  : recordsOf(b) + b->records * kRecordBytes;
+    }
 
     /** Slab growth: the first block holds one page's worth of
-     * records, later ones double the stripe up to the cap. */
+     * records, later ones double the slab up to the cap. */
     static constexpr std::size_t kFirstBlockRecords = kRecordsPerPage;
     static constexpr std::size_t kMaxBlockRecords = 256;
 
@@ -250,7 +213,11 @@ class DataImage
         }
     }
 
-    std::array<Stripe, kStripes> _stripes;
+    AddrTable<PageRecords> _pages;
+    std::unique_ptr<Block, FreeBlocks> _newest;  //!< owns the chain
+    std::uint8_t *_cursor = nullptr;    //!< next unused record
+    std::uint8_t *_blockEnd = nullptr;  //!< end of the newest block
+    std::size_t _records = 0;
 };
 
 } // namespace atomsim

@@ -3,9 +3,9 @@
 namespace atomsim
 {
 
-LogSpace::LogSpace(std::vector<EventQueue *> queues,
-                   const SystemConfig &cfg, StatSet &stats)
-    : _queues(std::move(queues)),
+LogSpace::LogSpace(EventQueue &eq, const SystemConfig &cfg,
+                   StatSet &stats)
+    : _eq(eq),
       _latency(cfg.osOverflowLatency),
       _grantSize(std::max<std::uint32_t>(1, cfg.bucketsPerMc / 16)),
       _busy(cfg.numMemCtrls, false),
@@ -28,7 +28,7 @@ LogSpace::requestMoreBuckets(McId mc,
         return;
     _busy[mc] = 1;
     _statInterrupts.inc();
-    _queues[mc]->scheduleIn(*_grantEvents[mc], _latency);
+    _eq.scheduleIn(*_grantEvents[mc], _latency);
 }
 
 void

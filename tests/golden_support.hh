@@ -1,16 +1,14 @@
 /**
  * @file
- * Shared golden-trace machinery for test_golden_trace.cc and
- * test_sharded.cc -- the single source of truth for how delivery
- * streams are hashed, which workloads the goldens pin, and how the
- * checked-in constants regenerate.
+ * Golden-trace machinery for test_golden_trace.cc -- the single source
+ * of truth for how delivery streams are hashed, which workloads the
+ * goldens pin, and how the checked-in constants regenerate.
  *
  * The golden constants live in tests/goldens.inc (generated -- never
  * hand-edit). When a PR intentionally changes simulated timing (a new
- * latency model, a protocol change), run either test binary with
- * `--dump-goldens`: it recomputes every constant -- the sequential
- * quickstart/tpcc hashes and the windowed (sharded) hashes -- and
- * rewrites goldens.inc in place. Commit the regenerated file together
+ * latency model, a protocol change), run the test binary with
+ * `--dump-goldens`: it recomputes every constant and rewrites
+ * goldens.inc in place. Commit the regenerated file together
  * with the timing change and explain the move in the commit message.
  */
 
@@ -23,6 +21,7 @@
 #include <vector>
 
 #include "net/mesh.hh"
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -33,33 +32,13 @@ namespace golden
 // The checked-in golden constants (generated file).
 #include "goldens.inc"
 
-/** One (tick, node, kind) delivery record. */
-struct StreamRec
-{
-    Tick tick;
-    std::uint32_t node;
-    MsgType type;
-
-    bool
-    operator==(const StreamRec &o) const
-    {
-        return tick == o.tick && node == o.node && type == o.type;
-    }
-};
-
 /**
  * FNV-1a over the (tick, node, kind) delivery stream -- THE hash every
- * golden constant is computed with. Optionally records the full stream
- * for element-wise comparison.
+ * golden constant is computed with.
  */
 class TraceHasher : public Mesh::Tracer
 {
   public:
-    explicit TraceHasher(bool record_stream = false)
-        : _record(record_stream)
-    {
-    }
-
     void
     onDeliver(Tick tick, std::uint32_t node, MsgType type) override
     {
@@ -67,13 +46,10 @@ class TraceHasher : public Mesh::Tracer
         mix(node);
         mix(std::uint64_t(type));
         ++_deliveries;
-        if (_record)
-            _stream.push_back(StreamRec{tick, node, type});
     }
 
     std::uint64_t hash() const { return _hash; }
     std::uint64_t deliveries() const { return _deliveries; }
-    std::vector<StreamRec> &stream() { return _stream; }
 
   private:
     void
@@ -87,8 +63,6 @@ class TraceHasher : public Mesh::Tracer
 
     std::uint64_t _hash = 14695981039346656037ull;
     std::uint64_t _deliveries = 0;
-    bool _record;
-    std::vector<StreamRec> _stream;
 };
 
 /** Everything a golden run produces. */
@@ -97,26 +71,41 @@ struct GoldenRun
     std::uint64_t hash = 0;
     std::uint64_t deliveries = 0;
     std::uint64_t txns = 0;
-    Tick cycles = 0;
-    std::vector<StreamRec> stream;  //!< filled when record_stream
     std::vector<std::pair<std::string, std::uint64_t>> stats;
 };
 
 /**
  * The quickstart-sized golden workload: the hash micro-benchmark on a
- * scaled-down Table-I machine (8 cores, ATOM-OPT). @p shards = 0 runs
- * the sequential kernel; >= 1 the windowed (sharded) kernel.
+ * scaled-down Table-I machine (8 cores, ATOM-OPT).
  */
-GoldenRun runGoldenQuickstart(std::uint32_t shards,
-                              bool record_stream = false);
+GoldenRun runGoldenQuickstart();
 
 /** The tpcc-sized golden workload: TPC-C new-order, 4 cores, ATOM. */
-GoldenRun runGoldenTpcc(std::uint32_t shards,
-                        bool record_stream = false);
+GoldenRun runGoldenTpcc();
 
 /**
- * Recompute every golden constant (sequential + windowed runs) and
- * render the full goldens.inc file contents. This is the single
+ * The hybrid-memory golden workload: the hash micro-benchmark with
+ * 512-byte entries on the quickstart machine, a 1 MB DRAM cache per
+ * controller in @p mode (and @p region bypassing it in app-direct
+ * mode) and a 64 KB L2 tile, so lines travel through the DRAM tier.
+ */
+GoldenRun runGoldenHybrid(HybridMode mode, AppDirectRegion region);
+
+/**
+ * The flash-tier golden workload: the hybrid workload on flat NVM
+ * with the SSD tier on under the balanced policy and destage
+ * thresholds low enough that the run destages real pages.
+ */
+GoldenRun runGoldenFlashTier();
+
+/**
+ * The serving golden workload: the 1024-tile preset running the
+ * zipfian KV workload for 4 tenants, one transaction per core.
+ */
+GoldenRun runGoldenServing1024();
+
+/**
+ * Recompute every golden constant and render the full goldens.inc file contents. This is the single
  * formatter `--dump-goldens` writes through, so the idempotence test
  * can assert that regenerating with no timing change reproduces the
  * checked-in file byte-identically.
@@ -124,8 +113,7 @@ GoldenRun runGoldenTpcc(std::uint32_t shards,
 std::string renderGoldens();
 
 /**
- * `--dump-goldens` entry point, shared by both test binaries' mains:
- * if argv contains the flag, recompute every golden constant, rewrite
+ * `--dump-goldens` entry point of the test binary's main: if argv contains the flag, recompute every golden constant, rewrite
  * tests/goldens.inc, print the new values, and return true (the
  * caller exits without running gtest).
  */

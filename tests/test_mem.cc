@@ -148,8 +148,40 @@ TEST(DataImageTest, FootprintFollowsRecordsWritten)
     EXPECT_EQ(img.recordsAllocated(), 2 * DataImage::kRecordsPerPage + 1);
 }
 
+// Records written in scattered order land in many slab blocks (a block
+// holds at most 256 records), so one page's records sit in different
+// blocks and the blocks are not in address order. The clone must map
+// every record to its own copy.
+TEST(DataImageTest, CloneMapsRecordsAcrossManyBlocks)
+{
+    constexpr Addr kBase = Addr(0x100) * kPageBytes;
+    constexpr std::size_t kRecords = 300 * DataImage::kRecordsPerPage;
+    std::vector<std::size_t> order(kRecords);
+    for (std::size_t r = 0; r < kRecords; ++r)
+        order[r] = r;
+    Random rng(5);
+    for (std::size_t i = kRecords - 1; i > 0; --i)
+        std::swap(order[i], order[rng.below(i + 1)]);
+
+    DataImage img;
+    for (std::size_t r : order)
+        img.store64(kBase + r * DataImage::kRecordBytes + 8, r + 1);
+    const DataImage copy = img.clone();
+    EXPECT_EQ(copy.recordsAllocated(), kRecords);
+    EXPECT_EQ(copy.pagesAllocated(), 300u);
+    for (std::size_t r = 0; r < kRecords; ++r) {
+        const Addr rec = kBase + r * DataImage::kRecordBytes;
+        ASSERT_EQ(copy.load64(rec + 8), r + 1) << "record " << r;
+        ASSERT_EQ(copy.load64(rec), 0u) << "record " << r;
+    }
+
+    // Deep: the original's records are not the copy's.
+    img.store64(kBase + 8, 99);
+    EXPECT_EQ(copy.load64(kBase + 8), 1u);
+}
+
 // Random reads and writes of 1..9000 bytes (straddling record and page
-// boundaries, touching every stripe) against a flat byte array. A third
+// boundaries) against a flat byte array. A third
 // of the way in the image is replaced by its own clone, so writes also
 // land in a cloned slab; two thirds in it is cleared. The footprint
 // must be exactly the records and pages written.

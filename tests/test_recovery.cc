@@ -754,8 +754,8 @@ TEST(HybridCrashTest, DirtyDramLinesAreLostAndNvmBytesSurvive)
 // device writes at a seeded word boundary (cfg.tornWrites), and a
 // second failure can interrupt recovery itself, tearing *recovery's*
 // writes (Runner::crashDuringRecovery). Both are pure functions of
-// the fault seed and shard-invariant keys, so every outcome below is
-// replayable.
+// the fault seed and simulation state the golden traces pin, so
+// every outcome below is replayable.
 
 namespace
 {

@@ -585,22 +585,6 @@ TEST(ConfigDeathTest, RejectsOversizedRecord)
     EXPECT_DEATH({ cfg.validate(); }, "recordEntries");
 }
 
-TEST(ConfigDeathTest, RejectsShardedRedo)
-{
-    SystemConfig cfg;
-    cfg.numShards = 2;
-    cfg.design = DesignKind::Redo;
-    EXPECT_DEATH({ cfg.validate(); }, "REDO");
-}
-
-TEST(ConfigDeathTest, RejectsWindowBeyondLookahead)
-{
-    SystemConfig cfg;
-    cfg.numShards = 2;
-    cfg.windowTicks = cfg.hopLatency + 1;
-    EXPECT_DEATH({ cfg.validate(); }, "lookahead");
-}
-
 // --- spill-heap deschedule (indexed heap) ------------------------------
 
 // Descheduling from the middle of the spill heap (the powerFail
