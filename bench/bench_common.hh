@@ -1,11 +1,8 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction bench binaries.
- *
- * Each bench binary regenerates one table or figure of the paper:
- * it runs the relevant configurations, prints the paper-style rows
- * (normalized the same way the paper normalizes), and registers
- * google-benchmark entries that report the measured throughput.
+ * Shared helpers for the bench binaries: the paper's micro-benchmark
+ * set and dataset presets, one-cell runs on the Table I machine, and
+ * the mesh delivery-stream fingerprint.
  */
 
 #ifndef ATOMSIM_BENCH_BENCH_COMMON_HH

@@ -24,14 +24,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hh"
 #include "bench_common.hh"
 #include "designs/design.hh"
 #include "harness/report.hh"
@@ -39,34 +38,6 @@
 #include "mem/memory_controller.hh"
 #include "workloads/hash_workload.hh"
 #include "workloads/tpcc/tpcc_workload.hh"
-
-namespace
-{
-std::uint64_t g_allocCount = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace
 {

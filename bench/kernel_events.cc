@@ -45,63 +45,14 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <queue>
 #include <vector>
 
+#include "alloc_count.hh"
 #include "harness/system.hh"
 #include "net/mesh.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
-
-// --- allocation accounting (whole binary) ------------------------------
-
-namespace
-{
-std::uint64_t g_allocCount = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {

@@ -73,15 +73,11 @@ class RedoEngine : public StoreLogger
      */
     void commitTxn(CoreId core, InplaceCallback<32> done);
 
-    /**
-     * The infinite victim cache of home tile @p tile: every access to
-     * a line -- the eviction that parks it and the miss that finds it
-     * -- happens at the line's home L2 slice.
-     */
-    VictimCache &victimCache(std::uint32_t tile) { return _victims[tile]; }
+    /** The infinite victim cache every L2 tile shares. */
+    VictimCache &victimCache() { return _victims; }
 
-    /** Parked victim lines across every tile (tests). */
-    std::size_t victimLines() const;
+    /** Parked victim lines (tests). */
+    std::size_t victimLines() const { return _victims.size(); }
 
     /** Entries still waiting for in-place application (tests). */
     std::size_t backlog() const;
@@ -173,7 +169,7 @@ class RedoEngine : public StoreLogger
     /** One recurring combine-buffer drain event per core (at most one
      * drain step pending per core; see CoreState::draining). */
     std::vector<std::unique_ptr<TickEvent>> _drainEvents;
-    std::vector<VictimCache> _victims;  //!< one per home tile
+    VictimCache _victims;
 
     Counter &_statEntries;
     Counter &_statCombined;

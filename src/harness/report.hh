@@ -2,7 +2,8 @@
  * @file
  * Paper-style table/figure printing for the bench harnesses, plus the
  * machine-readable JSON export behind the benches' `--stats-json`
- * flag (bench/hybrid_sweep.cc, bench/parallel_scaling.cc).
+ * flag (bench/paper_figures.cc, bench/hybrid_sweep.cc and the other
+ * sweeps).
  */
 
 #ifndef ATOMSIM_HARNESS_REPORT_HH

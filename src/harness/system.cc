@@ -95,7 +95,7 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
         for (auto &l1 : _l1s)
             l1->setStoreLogger(_redo.get());
         for (auto &tile : _tiles)
-            tile->setVictimCache(&_redo->victimCache(tile->tileId()));
+            tile->setVictimCache(&_redo->victimCache());
     } else {
         // NON-ATOMIC: no logger, no AUS.
         _ausPool = std::make_unique<AusPool>(
