@@ -165,39 +165,66 @@ residentMb()
 
 /** Bound on the resident growth of building the 1024-tile machine
  * (its System plus the Runner's per-core state): the measured
- * +10.5 MB rounded up. */
-constexpr double kBuildResidentMbBound = 12.0;
+ * +8.7 MB rounded up. */
+constexpr double kBuildResidentMbBound = 9.0;
 
 /** Bound on the NVM image's record bytes after the 1024-tile machine
  * serves one transaction per core: the measured 2018 KB rounded up.
  * Whole-page images held 977 pages (3908 KB) for the same run. */
 constexpr double kNvmRecordKbBound = 2048.0;
 
+/** Bound on the L2 tiles' set-block bytes after the 1024-tile machine
+ * serves one transaction per core: the measured 31 KB rounded up.
+ * Fixed 16-way set blocks held 498 KB for the same run. */
+constexpr double kL2SetBlockKbBound = 32.0;
+
+/** One cache level's footprint, summed over its arrays. */
+struct LevelFootprint
+{
+    std::uint64_t sets = 0;    //!< configured
+    std::uint64_t used = 0;    //!< allocated
+    std::uint64_t ways = 0;    //!< allocated
+    std::uint64_t blockBytes = 0;
+    std::uint64_t slots = 0;   //!< line data handed out
+
+    void
+    add(const CacheArray &a)
+    {
+        sets += a.numSets();
+        used += a.setsAllocated();
+        ways += a.waysAllocated();
+        blockBytes += a.setBlockBytes();
+        slots += a.dataSlots();
+    }
+
+    double blockKb() const { return double(blockBytes) / 1024.0; }
+};
+
+LevelFootprint
+l2Footprint(System &sys)
+{
+    LevelFootprint l2;
+    for (std::uint32_t t = 0; t < sys.config().l2Tiles; ++t)
+        l2.add(sys.l2Tile(t).array());
+    return l2;
+}
+
 /** Print the cache arrays' footprint per level: sets allocated out of
- * sets configured, and line-data slots handed out. */
+ * sets configured, ways allocated and the KB of their set blocks, and
+ * line-data slots handed out. */
 void
 printCacheFootprint(System &sys, const char *when)
 {
-    std::uint64_t l1_sets = 0, l1_used = 0, l1_slots = 0;
-    for (CoreId c = 0; c < sys.numCores(); ++c) {
-        const CacheArray &a = sys.l1(c).array();
-        l1_sets += a.numSets();
-        l1_used += a.setsAllocated();
-        l1_slots += a.dataSlots();
-    }
-    std::uint64_t l2_sets = 0, l2_used = 0, l2_slots = 0;
-    for (std::uint32_t t = 0; t < sys.config().l2Tiles; ++t) {
-        const CacheArray &a = sys.l2Tile(t).array();
-        l2_sets += a.numSets();
-        l2_used += a.setsAllocated();
-        l2_slots += a.dataSlots();
-    }
-    std::printf("cache footprint %s: L1 %llu/%llu sets, %llu data slots; "
-                "L2 %llu/%llu sets, %llu data slots\n",
-                when, (unsigned long long)l1_used,
-                (unsigned long long)l1_sets, (unsigned long long)l1_slots,
-                (unsigned long long)l2_used, (unsigned long long)l2_sets,
-                (unsigned long long)l2_slots);
+    LevelFootprint l1;
+    for (CoreId c = 0; c < sys.numCores(); ++c)
+        l1.add(sys.l1(c).array());
+    const LevelFootprint l2 = l2Footprint(sys);
+    for (const auto &[name, f] : {std::pair{"L1", l1}, std::pair{"L2", l2}})
+        std::printf("cache footprint %s: %s %llu/%llu sets, %llu ways "
+                    "(%.0f KB of set blocks), %llu data slots\n",
+                    when, name, (unsigned long long)f.used,
+                    (unsigned long long)f.sets, (unsigned long long)f.ways,
+                    f.blockKb(), (unsigned long long)f.slots);
 }
 
 /** Record bytes of @p img, in KB. */
@@ -292,8 +319,8 @@ scalingGates()
         ok = false;
     }
     // Cache arrays allocate a set's tags and metadata frames on the
-    // set's first use and line data only on install, so an unused
-    // 1024-tile machine stays small.
+    // set's first use and line data only on install, both from the
+    // System's one arena, so an unused 1024-tile machine stays small.
     if (rss0 >= 0 && build_mb > kBuildResidentMbBound) {
         std::printf("!! 1024-tile construction grew resident memory by "
                     "%.1f MB (> %.0f MB bound)\n",
@@ -312,6 +339,14 @@ scalingGates()
     std::printf("one txn per core: %llu committed in %llu cycles\n",
                 (unsigned long long)r.txns, (unsigned long long)r.cycles);
     printCacheFootprint(sys, "after run");
+    // A set holds only the ways it has used: most L2 sets of this run
+    // hold one line in one way of their 16.
+    const double l2_block_kb = l2Footprint(sys).blockKb();
+    if (l2_block_kb > kL2SetBlockKbBound) {
+        std::printf("!! L2 set blocks hold %.0f KB (> %.0f KB bound)\n",
+                    l2_block_kb, kL2SetBlockKbBound);
+        ok = false;
+    }
     printImageFootprint(sys, "after run");
     // Images materialize 512-byte records, not pages: most NVM pages
     // the run touches are log buckets holding one or two records.

@@ -1,7 +1,11 @@
 #include "cache/cache_array.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <new>
+
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
 
 #include "sim/logging.hh"
 
@@ -11,31 +15,91 @@ namespace atomsim
 namespace
 {
 
-/** Number of significant bits of @p v (0 for 0). */
-unsigned
-bitWidth(std::uint32_t v)
+/** @p bytes of anonymous memory, reading as zero until written. */
+void *
+mapChunk(std::size_t bytes)
 {
-    return v == 0 ? 0 : 32u - unsigned(__builtin_clz(v));
-}
-
-/** Set blocks in an array's first block chunk. */
-constexpr std::uint32_t kChunk0Blocks = 8;
-
-/** Blocks in the next block chunk of an array of @p sets sets that
- * has @p allocated blocks so far: kChunk0Blocks first, then as many
- * as allocated (so chunks double), capped at the sets left. */
-std::uint32_t
-nextChunkBlocks(std::uint32_t allocated, std::uint32_t sets)
-{
-    return std::min(allocated == 0 ? kChunk0Blocks : allocated,
-                    sets - allocated);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    panic_if(p == MAP_FAILED, "cache arena: mapping %zu bytes failed",
+             bytes);
+    return p;
 }
 
 } // namespace
 
+CacheArena::~CacheArena()
+{
+    // Poisoned free blocks would stay poisoned for whatever is mapped
+    // at their address next.
+    for (const BlockChunk &c : _blockChunks) {
+        ASAN_UNPOISON_MEMORY_REGION(c.base, c.bytes);
+        munmap(c.base, c.bytes);
+    }
+    for (unsigned k = 0; k < _slotChunks.size() && _slotChunks[k]; ++k)
+        munmap(_slotChunks[k], std::size_t(slotChunkSize(k)) * sizeof(Line));
+}
+
+std::byte *
+CacheArena::takeBlock(std::uint32_t ways)
+{
+    const std::size_t bytes = ways * kWayBytes;
+    if (ways < _freeBlocks.size() && _freeBlocks[ways]) {
+        std::byte *block = _freeBlocks[ways];
+        ASAN_UNPOISON_MEMORY_REGION(block, bytes);
+        std::memcpy(&_freeBlocks[ways], block, sizeof(std::byte *));
+        _freeBlockBytes -= bytes;
+        return block;
+    }
+    if (std::size_t(_blockEnd - _blockNext) < bytes) {
+        // The tail of the last chunk (less than one block) is dropped.
+        const std::size_t chunk = std::max(
+            {kBlockChunk0Bytes, _blockChunkBytes, bytes});
+        // A block is constructed when handed out.
+        _blockNext = static_cast<std::byte *>(mapChunk(chunk));
+        _blockEnd = _blockNext + chunk;
+        _blockChunks.push_back({_blockNext, chunk});
+        _blockChunkBytes += chunk;
+    }
+    std::byte *block = _blockNext;
+    _blockNext += bytes;
+    return block;
+}
+
+void
+CacheArena::giveBlock(std::byte *block, std::uint32_t ways)
+{
+    if (ways >= _freeBlocks.size())
+        _freeBlocks.resize(ways + 1, nullptr);
+    std::memcpy(block, &_freeBlocks[ways], sizeof(std::byte *));
+    _freeBlocks[ways] = block;
+    _freeBlockBytes += ways * kWayBytes;
+    // Under AddressSanitizer a frame pointer kept across its set's
+    // growth faults on its next use.
+    ASAN_POISON_MEMORY_REGION(block, ways * kWayBytes);
+}
+
+std::uint32_t
+CacheArena::newSlot()
+{
+    if (_slotsUsed == _slotsAllocated) {
+        panic_if(_slotsAllocated > ~std::uint32_t(0) / 2,
+                 "cache arena out of line-data slot handles");
+        const unsigned chunk = slotChunk(_slotsAllocated);
+        const std::uint32_t size = slotChunkSize(chunk);
+        // Mapped pages read as zero, and a slot is handed out once:
+        // every slot starts zeroed.
+        _slotChunks[chunk] = new (mapChunk(std::size_t(size) * sizeof(Line)))
+            Line[size];
+        _slotsAllocated += size;
+    }
+    return _slotsUsed++;
+}
+
 CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
-                       std::uint32_t index_div)
-    : _assoc(assoc), _indexDiv(index_div == 0 ? 1 : index_div)
+                       std::uint32_t index_div, CacheArena *arena)
+    : _assoc(assoc), _indexDiv(index_div == 0 ? 1 : index_div),
+      _arena(arena)
 {
     panic_if(assoc == 0, "associativity must be > 0");
     panic_if(assoc > 0xffff, "associativity must fit a frame's way");
@@ -44,17 +108,12 @@ CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
     _numSets = lines / assoc;
     panic_if((_numSets & (_numSets - 1)) != 0,
              "set count must be a power of two (got %u)", _numSets);
+    if (!_arena) {
+        _ownArena = std::make_unique<CacheArena>();
+        _arena = _ownArena.get();
+    }
     _sets.assign(_numSets, nullptr);
-    // Every chunk the array can ever need, so growing never
-    // reallocates the chunk tables; the first data chunk is allocated
-    // now, the first block chunk on the first victim().
-    std::uint32_t block_chunks = 0;
-    for (std::uint32_t n = 0; n < _numSets; ++block_chunks)
-        n += nextChunkBlocks(n, _numSets);
-    _blockChunks.reserve(block_chunks);
-    _chunks.reserve(bitWidth((lines - 1) >> kChunk0Shift) + 1);
-    _slotsAllocated = std::min(lines, 1u << kChunk0Shift);
-    _chunks.push_back(std::make_unique<Line[]>(_slotsAllocated));
+    _setWays.assign(_numSets, 0);
 }
 
 std::uint32_t
@@ -64,55 +123,49 @@ CacheArray::setIndex(Addr line_addr) const
                          (_numSets - 1));
 }
 
+Addr &
+CacheArray::tagOf(const CacheLineState *frames, std::uint32_t way)
+{
+    auto *bytes = reinterpret_cast<std::byte *>(
+        const_cast<CacheLineState *>(frames));
+    return *std::launder(reinterpret_cast<Addr *>(
+        bytes - (std::size_t(way) + 1) * sizeof(Addr)));
+}
+
 CacheLineState *
-CacheArray::allocatedSet(Addr line_addr)
+CacheArray::grow(std::uint32_t set)
 {
-    CacheLineState *&frames = _sets[setIndex(line_addr)];
-    if (frames)
-        return frames;
-    const std::size_t block_bytes = blockBytes();
-    if (_setsAllocated == _blocksAllocated) {
-        const std::uint32_t blocks =
-            nextChunkBlocks(_blocksAllocated, _numSets);
-        // Default-initialized: a block is constructed when handed out.
-        _blockChunks.emplace_back(new std::byte[blocks * block_bytes]);
-        _nextBlock = _blockChunks.back().get();
-        _blocksAllocated += blocks;
+    CacheLineState *old = _sets[set];
+    const std::uint32_t ways = _setWays[set];
+    const std::uint32_t grown = ways == 0 ? 1 : std::min(2 * ways, _assoc);
+    // The block holds the tags in reverse way order, then the frames.
+    std::byte *block = _arena->takeBlock(grown);
+    auto *frames =
+        reinterpret_cast<CacheLineState *>(block + grown * sizeof(Addr));
+    for (std::uint32_t w = 0; w < grown; ++w) {
+        Addr *tag = reinterpret_cast<Addr *>(
+            block + (grown - 1 - w) * sizeof(Addr));
+        if (w < ways) {
+            new (&frames[w]) CacheLineState(old[w]);
+            new (tag) Addr(tagOf(old, w));
+        } else {
+            new (&frames[w]) CacheLineState{};
+            frames[w].way = std::uint16_t(w);
+            new (tag) Addr(0);
+        }
     }
-    auto *block = reinterpret_cast<CacheLineState *>(_nextBlock);
-    auto *tags = reinterpret_cast<Addr *>(block + _assoc);
-    for (std::uint32_t w = 0; w < _assoc; ++w) {
-        new (&block[w]) CacheLineState{};
-        block[w].way = std::uint16_t(w);
-        new (&tags[w]) Addr(0);
+    if (old) {
+        _arena->giveBlock(reinterpret_cast<std::byte *>(old) -
+                              ways * sizeof(Addr),
+                          ways);
+    } else {
+        ++_setsAllocated;
     }
-    _nextBlock += block_bytes;
-    ++_setsAllocated;
-    frames = std::launder(block);
-    return frames;
-}
-
-Line &
-CacheArray::slotData(std::uint32_t slot)
-{
-    const unsigned chunk = bitWidth(slot >> kChunk0Shift);
-    const std::uint32_t first =
-        chunk == 0 ? 0 : 1u << (kChunk0Shift + chunk - 1);
-    return _chunks[chunk][slot - first];
-}
-
-std::uint32_t
-CacheArray::newSlot()
-{
-    if (_slotsUsed == _slotsAllocated) {
-        // Chunk k >= 1 starts at slot 2^(kChunk0Shift + k - 1), which
-        // is also its size -- capped at the frame count for the last.
-        const std::uint32_t size = std::min<std::uint32_t>(
-            _slotsAllocated, _numSets * _assoc - _slotsAllocated);
-        _chunks.push_back(std::make_unique<Line[]>(size));
-        _slotsAllocated += size;
-    }
-    return _slotsUsed++;
+    frames = std::launder(frames);
+    _sets[set] = frames;
+    _setWays[set] = std::uint16_t(grown);
+    _waysAllocated += grown - ways;
+    return &frames[ways];
 }
 
 void
@@ -128,13 +181,15 @@ CacheArray::resetMeta(CacheLineState *frame)
 CacheLineState *
 CacheArray::find(Addr line_addr)
 {
-    CacheLineState *frames = _sets[setIndex(line_addr)];
+    const std::uint32_t set = setIndex(line_addr);
+    CacheLineState *frames = _sets[set];
     if (!frames)
         return nullptr;
     const Addr want = lineAlign(line_addr) | 1;
-    const Addr *tags = setTags(frames);
-    for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (tags[w] == want)
+    const Addr *tag0 = &tagOf(frames, 0);  // way w's tag is tag0[-w]
+    const std::uint32_t ways = _setWays[set];
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        if (*(tag0 - w) == want)
             return &frames[w];
     }
     return nullptr;
@@ -158,12 +213,20 @@ CacheArray::touch(Addr line_addr)
 CacheLineState *
 CacheArray::victim(Addr line_addr)
 {
-    CacheLineState *frames = allocatedSet(line_addr);
-    const Addr *tags = setTags(frames);
-    for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (tags[w] == 0)
-            return &frames[w];
+    const std::uint32_t set = setIndex(line_addr);
+    CacheLineState *frames = _sets[set];
+    const std::uint32_t ways = _setWays[set];
+    if (frames) {
+        const Addr *tag0 = &tagOf(frames, 0);
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (*(tag0 - w) == 0)
+                return &frames[w];
+        }
     }
+    // The ways not allocated yet are the invalid ones; the lowest of
+    // them is the first new way.
+    if (ways < _assoc)
+        return grow(set);
     CacheLineState *lru = nullptr;
     CacheLineState *lru_any = nullptr;
     for (std::uint32_t w = 0; w < _assoc; ++w) {
@@ -182,8 +245,10 @@ void
 CacheArray::install(CacheLineState *frame, Addr line_addr)
 {
     resetMeta(frame);
-    if (frame->slot == CacheLineState::kNoSlot)
-        frame->slot = newSlot();
+    if (frame->slot == CacheLineState::kNoSlot) {
+        frame->slot = _arena->newSlot();
+        ++_slotsUsed;
+    }
     tagWord(frame) = lineAlign(line_addr) | 1;
     frame->lruStamp = ++_stamp;
 }
@@ -198,23 +263,20 @@ CacheArray::invalidate(CacheLineState *frame)
 void
 CacheArray::invalidateAll()
 {
-    const std::size_t block_bytes = blockBytes();
-    std::uint32_t walked = 0;
-    for (const auto &chunk : _blockChunks) {
-        const std::uint32_t blocks = std::min(
-            nextChunkBlocks(walked, _numSets),
-            _setsAllocated - walked);
-        for (std::uint32_t b = 0; b < blocks; ++b) {
-            auto *frames = std::launder(reinterpret_cast<CacheLineState *>(
-                chunk.get() + b * block_bytes));
-            Addr *tags = setTags(frames);
-            for (std::uint32_t w = 0; w < _assoc; ++w) {
-                tags[w] = 0;
-                resetMeta(&frames[w]);
-            }
+    for (std::uint32_t set = 0; set < _numSets; ++set) {
+        CacheLineState *frames = _sets[set];
+        for (std::uint32_t w = 0; w < _setWays[set]; ++w) {
+            tagOf(frames, w) = 0;
+            resetMeta(&frames[w]);
         }
-        walked += blocks;
     }
+}
+
+bool
+CacheArray::full(const CacheLineState *frame) const
+{
+    const std::uint32_t set = setIndex(tag(frame));
+    return _sets[set] == frame - frame->way && _setWays[set] == _assoc;
 }
 
 } // namespace atomsim

@@ -52,8 +52,9 @@ struct CacheLineState
      * under contention.
      */
     bool pinned : 1;
-    /** The frame's way in its set, fixed when the set is allocated:
-     * the array finds the frame's tag through it. */
+    /** The frame's way in its set, fixed when the way is allocated
+     * and kept as the set grows: the array finds the frame's tag
+     * through it. */
     std::uint16_t way = 0;
     /** Handle of the frame's line data in its array, assigned on the
      * first install and kept from then on. */

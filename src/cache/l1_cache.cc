@@ -11,14 +11,14 @@ namespace atomsim
 L1Cache::L1Cache(CoreId core, EventQueue &eq, const SystemConfig &cfg,
                  Mesh &mesh, const AddressMap &amap,
                  std::vector<std::unique_ptr<L2Tile>> &tiles,
-                 StatSet &stats)
+                 StatSet &stats, CacheArena &arena)
     : _core(core),
       _eq(eq),
       _cfg(cfg),
       _mesh(mesh),
       _amap(amap),
       _tiles(tiles),
-      _array(cfg.l1SizeBytes, cfg.l1Assoc),
+      _array(cfg.l1SizeBytes, cfg.l1Assoc, 1, &arena),
       _mshrs(cfg.mshrs),
       _statLoads(stats.counter("l1c" + std::to_string(core), "loads")),
       _statStores(stats.counter("l1c" + std::to_string(core), "stores")),

@@ -116,7 +116,8 @@ class L1Cache : public MeshSink
 
     L1Cache(CoreId core, EventQueue &eq, const SystemConfig &cfg,
             Mesh &mesh, const AddressMap &amap,
-            std::vector<std::unique_ptr<L2Tile>> &tiles, StatSet &stats);
+            std::vector<std::unique_ptr<L2Tile>> &tiles, StatSet &stats,
+            CacheArena &arena);
     ~L1Cache();
 
     CoreId coreId() const { return _core; }

@@ -8,14 +8,14 @@ namespace atomsim
 
 L2Tile::L2Tile(std::uint32_t tile_id, EventQueue &eq,
                const SystemConfig &cfg, Mesh &mesh, const AddressMap &amap,
-               StatSet &stats)
+               StatSet &stats, CacheArena &arena)
     : _tileId(tile_id),
       _eq(eq),
       _cfg(cfg),
       _mesh(mesh),
       _amap(amap),
       _stats(stats),
-      _array(cfg.l2TileBytes, cfg.l2Assoc, cfg.l2Tiles),
+      _array(cfg.l2TileBytes, cfg.l2Assoc, cfg.l2Tiles, &arena),
       _dir(cfg.numCores),
       _statHits(stats.counter("l2t" + std::to_string(tile_id), "hits")),
       _statMisses(stats.counter("l2t" + std::to_string(tile_id),
@@ -233,7 +233,11 @@ L2Tile::evictThen(CacheLineState *frame, PendingFill *pf)
     // Inclusion: recall every L1 copy of the victim before it leaves
     // the L2 -- a split-phase round under the victim's busy bit. The
     // frame is pinned so concurrent fills to the set pick other ways
-    // (or park until this eviction completes).
+    // (or park until this eviction completes). The frame is held
+    // across the round, which only a full set's frames survive:
+    // victim() moves the frames of a set it grows.
+    panic_if(!_array.full(frame),
+             "L2 eviction holds a frame of a set that may still grow");
     const Addr vaddr = _array.tag(frame);
     frame->pinned = true;
     _dir.acquire(vaddr, Directory::Txn([this, frame, vaddr, pf] {

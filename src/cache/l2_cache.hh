@@ -125,7 +125,8 @@ class L2Tile : public MeshSink
     using AckCallback = MeshCallback;
 
     L2Tile(std::uint32_t tile_id, EventQueue &eq, const SystemConfig &cfg,
-           Mesh &mesh, const AddressMap &amap, StatSet &stats);
+           Mesh &mesh, const AddressMap &amap, StatSet &stats,
+           CacheArena &arena);
     ~L2Tile();
 
     /** Wire the L1s (for recalls / forwards / invalidations): a table
@@ -282,6 +283,8 @@ class L2Tile : public MeshSink
     /**
      * Split-phase eviction of @p frame's current occupant; installs
      * @p pf's fill and completes it when the victim's round finishes.
+     * @p frame must belong to a full set (CacheArray::full()), the
+     * only frames that stay put across the round.
      */
     void evictThen(CacheLineState *frame, PendingFill *pf);
 

@@ -37,11 +37,11 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
 
     for (std::uint32_t t = 0; t < _cfg.l2Tiles; ++t) {
         _tiles.push_back(std::make_unique<L2Tile>(
-            t, _eq, _cfg, *_mesh, _amap, _stats));
+            t, _eq, _cfg, *_mesh, _amap, _stats, _cacheArena));
     }
     for (CoreId c = 0; c < _cfg.numCores; ++c) {
         _l1s.push_back(std::make_unique<L1Cache>(
-            c, _eq, _cfg, *_mesh, _amap, _tiles, _stats));
+            c, _eq, _cfg, *_mesh, _amap, _tiles, _stats, _cacheArena));
     }
 
     for (auto &l1 : _l1s)

@@ -122,6 +122,9 @@ class System
     std::vector<std::unique_ptr<DestageEngine>> _destages;
     std::vector<std::unique_ptr<McPort>> _mcPorts;
     std::unique_ptr<LogSpace> _logSpace;
+    /** Set blocks and line data of every L1 and L2 tile: declared
+     * before them, so destroyed after them. */
+    CacheArena _cacheArena;
     std::vector<std::unique_ptr<L2Tile>> _tiles;
     std::vector<std::unique_ptr<L1Cache>> _l1s;
     /** The L1s by core: the one table every L2 tile points into. */

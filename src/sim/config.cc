@@ -206,9 +206,10 @@ SystemConfig::makeMeshPreset(std::uint32_t tiles)
         cfg.meshRows = 32;
         cfg.numMemCtrls = 16;
         // Keep the host footprint bounded at 1024 tiles: smaller L2
-        // slices (a set that is used costs 24 B per way for its tags
-        // and metadata frames, plus a 64 B line-data slot per frame
-        // installed).
+        // slices (a set that is used costs 24 B per way it has grown
+        // to -- 1, 2, 4, 8 or 16 ways, doubling as it fills -- for its
+        // tags and metadata frames, plus a 64 B line-data slot per
+        // frame installed).
         cfg.l2TileBytes = 64 * 1024;
         // The simulator itself would run the default wheel just as
         // well: 4096 buckets measured the same kv1024 peak RSS (60.22

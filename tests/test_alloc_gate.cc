@@ -112,12 +112,12 @@ TEST(AllocGateTest, TpccUnderAtomOpt)
     constexpr std::uint32_t kTxnsPerCore = 24;
     TpccWorkload workload{tpcc::ScaleParams{}};
     Runner runner(cfg, workload, kTxnsPerCore);
-    // Measured 0.51/txn: DataImage page-index growth and record slab
+    // Measured 0.49/txn: DataImage page-index growth and record slab
     // blocks (NVM log and data records, and the architectural records
     // of freshly allocated rows and tree nodes), then amortized
-    // LogM/directory table, pool and line-data growth.
+    // LogM/directory table, pool and cache-arena growth.
     EXPECT_LE(steadyAllocsPerTxn(runner, cfg.numCores * kTxnsPerCore),
-              0.6);
+              0.5);
     DirectAccessor arch(runner.system().archMem());
     EXPECT_EQ(workload.checkConsistency(arch, cfg.numCores), "");
 }
@@ -139,10 +139,10 @@ TEST(AllocGateTest, ZipfianKvUnderAtomOpt)
     kv.txnsPerCore = kTxnsPerCore;
     KvWorkload workload(kv);
     Runner runner(cfg, workload, kTxnsPerCore);
-    // Measured 0.24/txn: amortized cache set-block/line-data,
-    // directory/LogM table and NVM page-index growth.
+    // Measured 0.15/txn: amortized cache-arena chunk, directory/LogM
+    // table and NVM page-index growth.
     EXPECT_LE(steadyAllocsPerTxn(runner, cfg.numCores * kTxnsPerCore),
-              0.3);
+              0.2);
     DirectAccessor arch(runner.system().archMem());
     EXPECT_EQ(workload.checkConsistency(arch, cfg.numCores), "");
 }

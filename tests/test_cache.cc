@@ -194,16 +194,30 @@ randomLine(Random &rng)
     return line;
 }
 
+/** The number of ways a set grows to for holding way @p top: the
+ * growth steps 1, 2, 4, ... capped at @p assoc. */
+std::uint32_t
+waysFor(std::uint32_t top, std::uint32_t assoc)
+{
+    std::uint32_t ways = 1;
+    while (ways <= top)
+        ways *= 2;
+    return std::min(ways, assoc);
+}
+
 /** Drive CacheArray and ReferenceArray with @p ops random operations
  * and require identical answers at every step. The operations touch
  * @p distinct_lines lines spread over @p used_sets random sets (every
- * set when 0). */
+ * set when 0). A second array on the same arena churns alongside, so
+ * blocks one array outgrows are handed to the other. */
 void
 runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
                 std::uint32_t index_div, std::uint32_t distinct_lines,
                 int ops, std::uint64_t seed, std::uint32_t used_sets = 0)
 {
-    CacheArray arr(size_bytes, assoc, index_div);
+    CacheArena arena;
+    CacheArray arr(size_bytes, assoc, index_div, &arena);
+    CacheArray other(size_bytes, assoc, index_div, &arena);
     ReferenceArray ref(size_bytes, assoc, index_div);
     const std::uint32_t sets = arr.numSets();
     // Line number n falls in set (n / index_div) % sets: build each
@@ -225,14 +239,20 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             pick.below(index_div);
         lines.push_back(Addr(n) * kLineBytes);
     }
-    // Frame identity: the compact frame standing for each reference
-    // index must never change.
-    std::map<const CacheLineState *, int> idx_of;
-    auto same_frame = [&](const CacheLineState *f, int i) {
+    // Frame identity is (set, way): frames move as their set grows,
+    // but the compact frame standing for reference index i is always
+    // way i % assoc of the set of the line asked for, set i / assoc.
+    auto set_of = [&](Addr line) {
+        return std::uint32_t((lineNumber(line) / index_div) & (sets - 1));
+    };
+    std::set<int> seen;  // reference frames ever matched
+    std::vector<int> top_way(sets, -1);  // highest way installed, per set
+    auto same_frame = [&](const CacheLineState *f, int i, Addr line) {
         if (!f || i < 0)
             return f == nullptr && i < 0;
-        auto [it, fresh] = idx_of.emplace(f, i);
-        return it->second == i;
+        seen.insert(i);
+        return std::uint32_t(i) / assoc == set_of(line) &&
+               f->way == std::uint32_t(i) % assoc;
     };
     auto same_data = [&](const CacheLineState *f, int i) {
         return !ref.frame(i).everInstalled ||
@@ -250,7 +270,7 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             const bool lru = rng.chance(0.5);
             CacheLineState *f = lru ? arr.touch(line) : arr.find(line);
             const int i = lru ? ref.touch(line) : ref.find(line);
-            ASSERT_TRUE(same_frame(f, i)) << "op " << op;
+            ASSERT_TRUE(same_frame(f, i, line)) << "op " << op;
             if (f) {
                 ASSERT_EQ(arr.tag(f), line);
                 ASSERT_TRUE(same_data(f, i)) << "op " << op;
@@ -266,7 +286,7 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             ASSERT_LT(ref.find(line), 0);
             CacheLineState *f = arr.victim(line);
             const int i = ref.victim(line);
-            ASSERT_TRUE(same_frame(f, i)) << "op " << op;
+            ASSERT_TRUE(same_frame(f, i, line)) << "op " << op;
             ASSERT_EQ(arr.valid(f), ref.frame(i).valid);
             if (arr.valid(f)) {
                 ASSERT_EQ(arr.tag(f), ref.frame(i).tag);
@@ -276,9 +296,16 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             if (prev != last_frame.end() && prev->second != i)
                 ++reinstalls_elsewhere;
             last_frame[line] = i;
+            top_way[set_of(line)] = std::max(top_way[set_of(line)],
+                                             int(std::uint32_t(i) % assoc));
             arr.install(f, line);
             ref.install(i, line);
+            ASSERT_EQ(arr.find(line), f);
             ASSERT_TRUE(arr.data(f) == ref.frame(i).data);
+            // The other array takes a block or a slot now and then.
+            const Addr noise = lines[rng.below(distinct_lines)];
+            if (!other.find(noise))
+                other.install(other.victim(noise), noise);
             if (rng.chance(0.8)) {
                 const Line fill = randomLine(rng);
                 arr.data(f) = fill;
@@ -288,7 +315,7 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             // Invalidate (recall, surrender, clean drop).
             CacheLineState *f = arr.find(line);
             const int i = ref.find(line);
-            ASSERT_TRUE(same_frame(f, i));
+            ASSERT_TRUE(same_frame(f, i, line));
             if (f) {
                 arr.invalidate(f);
                 ref.frame(i).reset();
@@ -298,7 +325,7 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             // Pin or unpin a resident line.
             CacheLineState *f = arr.find(line);
             const int i = ref.find(line);
-            ASSERT_TRUE(same_frame(f, i));
+            ASSERT_TRUE(same_frame(f, i, line));
             if (f) {
                 const bool pin = rng.chance(0.6);
                 f->pinned = pin;
@@ -308,7 +335,7 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
             // A store into a resident line.
             CacheLineState *f = arr.find(line);
             const int i = ref.find(line);
-            ASSERT_TRUE(same_frame(f, i));
+            ASSERT_TRUE(same_frame(f, i, line));
             if (f) {
                 const std::size_t off = rng.below(kLineBytes);
                 const auto b = std::uint8_t(rng.next());
@@ -329,9 +356,18 @@ runDifferential(std::uint32_t size_bytes, std::uint32_t assoc,
     // frame.
     EXPECT_EQ(arr.setsAllocated(), chosen.size());
     if (used_sets == 0)
-        EXPECT_EQ(idx_of.size(), std::size_t(size_bytes / kLineBytes));
+        EXPECT_EQ(seen.size(), std::size_t(size_bytes / kLineBytes));
     else
-        EXPECT_LE(idx_of.size(), chosen.size() * assoc);
+        EXPECT_LE(seen.size(), chosen.size() * assoc);
+    // Each set holds the ways it ever filled, rounded up to the growth
+    // step.
+    std::uint64_t ways = 0;
+    for (std::uint32_t s = 0; s < sets; ++s) {
+        if (top_way[s] >= 0)
+            ways += waysFor(std::uint32_t(top_way[s]), assoc);
+    }
+    EXPECT_EQ(arr.waysAllocated(), ways);
+    EXPECT_EQ(arr.setBlockBytes(), ways * CacheArena::kWayBytes);
 }
 
 TEST(CacheArrayTest, MatchesArrayOfStructsModelL1Shape)
@@ -375,15 +411,15 @@ TEST(CacheArrayTest, LookupInUnusedSetAllocatesNothing)
     EXPECT_EQ(arr.setsAllocated(), 1u);
 }
 
-TEST(CacheArrayTest, FramesNeverMoveAsSetsAreAllocated)
+TEST(CacheArrayTest, LinesStayPutAsSetsAreAllocated)
 {
     CacheArray arr(1024 * 1024, 4);  // 4096 sets
     CacheLineState *first = arr.victim(0);
     arr.install(first, 0);
     arr.data(first).fill(0xc3);
     first->dirty = true;
-    // 1,500 more sets: many block chunks later, the first frame is
-    // where it was, with its tag, metadata and bytes.
+    // 1,500 more sets: many block chunks later, the first line is in
+    // way 0 of its set, with its tag, metadata and bytes.
     for (Addr set = 1; set <= 1500; ++set) {
         const Addr line = set * kLineBytes;
         CacheLineState *f = arr.victim(line);
@@ -391,7 +427,10 @@ TEST(CacheArrayTest, FramesNeverMoveAsSetsAreAllocated)
         arr.data(f).fill(std::uint8_t(set));
     }
     EXPECT_EQ(arr.setsAllocated(), 1501u);
-    EXPECT_EQ(arr.find(0), first);
+    EXPECT_EQ(arr.waysAllocated(), 1501u);
+    first = arr.find(0);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->way, 0u);
     EXPECT_TRUE(arr.valid(first));
     EXPECT_EQ(arr.tag(first), 0u);
     EXPECT_TRUE(first->dirty);
@@ -401,6 +440,7 @@ TEST(CacheArrayTest, FramesNeverMoveAsSetsAreAllocated)
     for (Addr set = 1; set <= 1500; ++set) {
         const CacheLineState *f = arr.find(set * kLineBytes);
         ASSERT_NE(f, nullptr);
+        EXPECT_EQ(f->way, 0u);
         EXPECT_EQ(arr.tag(f), set * kLineBytes);
         EXPECT_EQ(arr.data(f)[63], std::uint8_t(set));
     }
@@ -411,44 +451,51 @@ TEST(CacheArrayTest, InvalidateAllOnPartlyAllocatedArrayThenReinstall)
     CacheArray arr(64 * 1024, 4);  // 256 sets
     const Addr stride = Addr(arr.numSets()) * kLineBytes;
     // Two ways in each of 37 sets (spanning several block chunks).
-    std::vector<CacheLineState *> frames;
     for (Addr set = 0; set < 37; ++set) {
         for (Addr tag = 0; tag < 2; ++tag) {
             const Addr line = tag * stride + set * 3 * kLineBytes;
             CacheLineState *f = arr.victim(line);
+            EXPECT_EQ(f->way, tag);
             arr.install(f, line);
             arr.data(f).fill(std::uint8_t(set * 2 + tag + 1));
-            f->pinned = true;
-            frames.push_back(f);
         }
     }
+    // Pin every line, through a fresh lookup: the second install of
+    // each set grew it and moved its first frame.
+    for (Addr set = 0; set < 37; ++set) {
+        for (Addr tag = 0; tag < 2; ++tag)
+            arr.find(tag * stride + set * 3 * kLineBytes)->pinned = true;
+    }
     EXPECT_EQ(arr.setsAllocated(), 37u);
+    EXPECT_EQ(arr.waysAllocated(), 74u);
     EXPECT_EQ(arr.dataSlots(), 74u);
 
     arr.invalidateAll();
-    for (CacheLineState *f : frames) {
-        EXPECT_FALSE(arr.valid(f));
-        EXPECT_FALSE(f->pinned);
-        EXPECT_EQ(f->lruStamp, 0u);
-    }
-    for (Addr set = 0; set < 37; ++set)
-        EXPECT_EQ(arr.find(set * 3 * kLineBytes), nullptr);
-    EXPECT_EQ(arr.setsAllocated(), 37u);
-
-    // Reinstalls land in the same frames, which keep their old bytes
-    // until a fill; nothing new is allocated.
-    std::size_t i = 0;
     for (Addr set = 0; set < 37; ++set) {
-        for (Addr tag = 0; tag < 2; ++tag, ++i) {
+        for (Addr tag = 0; tag < 2; ++tag)
+            EXPECT_EQ(arr.find(tag * stride + set * 3 * kLineBytes),
+                      nullptr);
+    }
+    EXPECT_EQ(arr.setsAllocated(), 37u);
+    EXPECT_EQ(arr.waysAllocated(), 74u);
+
+    // Reinstalls land in the same (set, way), reset but still holding
+    // its old bytes until a fill; nothing new is allocated.
+    for (Addr set = 0; set < 37; ++set) {
+        for (Addr tag = 0; tag < 2; ++tag) {
             const Addr line = (tag + 5) * stride + set * 3 * kLineBytes;
             CacheLineState *f = arr.victim(line);
-            EXPECT_EQ(f, frames[i]);
+            EXPECT_EQ(f->way, tag);
+            EXPECT_FALSE(arr.valid(f));
+            EXPECT_FALSE(f->pinned);
+            EXPECT_EQ(f->lruStamp, 0u);
             arr.install(f, line);
             EXPECT_EQ(arr.find(line), f);
             EXPECT_EQ(arr.data(f)[0], std::uint8_t(set * 2 + tag + 1));
         }
     }
     EXPECT_EQ(arr.setsAllocated(), 37u);
+    EXPECT_EQ(arr.waysAllocated(), 74u);
     EXPECT_EQ(arr.dataSlots(), 74u);
 }
 
@@ -457,24 +504,188 @@ TEST(CacheArrayTest, ReinstallIntoAnotherWayKeepsThatWaysBytes)
     CacheArray arr(4 * 1024, 4);
     const Addr stride = Addr(arr.numSets()) * kLineBytes;
     // Ways 0..2 hold lines A, B, X of set 0; X carries its own bytes.
-    CacheLineState *fa = arr.victim(0);
-    arr.install(fa, 0);
-    arr.data(fa).fill(0xaa);
+    arr.install(arr.victim(0), 0);
+    arr.data(arr.find(0)).fill(0xaa);
     arr.install(arr.victim(stride), stride);
-    CacheLineState *fx = arr.victim(2 * stride);
-    arr.install(fx, 2 * stride);
-    arr.data(fx).fill(0x55);
+    arr.install(arr.victim(2 * stride), 2 * stride);
+    arr.data(arr.find(2 * stride)).fill(0x55);
+    CacheLineState *fa = arr.find(0);
+    CacheLineState *fx = arr.find(2 * stride);
+    EXPECT_EQ(fa->way, 0u);
+    EXPECT_EQ(fx->way, 2u);
     // Drop A and X: X's next install lands in A's old way, which
     // still holds A's bytes until a fill overwrites them.
     arr.invalidate(fa);
     arr.invalidate(fx);
     CacheLineState *again = arr.victim(2 * stride);
-    EXPECT_EQ(again, fa);
+    EXPECT_EQ(again->way, 0u);
     arr.install(again, 2 * stride);
-    EXPECT_EQ(arr.find(2 * stride), fa);
-    EXPECT_EQ(arr.data(fa)[0], 0xaa);
-    EXPECT_EQ(arr.data(fx)[0], 0x55);
-    EXPECT_FALSE(arr.valid(fx));
+    EXPECT_EQ(arr.find(2 * stride), again);
+    EXPECT_EQ(arr.data(again)[0], 0xaa);
+    // Way 2 kept X's bytes; the next victim of the set takes it.
+    CacheLineState *way2 = arr.victim(3 * stride);
+    EXPECT_EQ(way2->way, 2u);
+    EXPECT_FALSE(arr.valid(way2));
+    EXPECT_EQ(arr.data(way2)[0], 0x55);
+}
+
+TEST(CacheArrayTest, FramesOfAFullSetNeverMove)
+{
+    CacheArray arr(64 * 1024, 4);  // 256 sets
+    const Addr stride = Addr(arr.numSets()) * kLineBytes;
+    // Fill set 0: a frame is full() only once its set has all 4 ways,
+    // which the third line brings (1 -> 2 -> 4 ways).
+    for (Addr tag = 0; tag < 4; ++tag) {
+        arr.install(arr.victim(tag * stride), tag * stride);
+        EXPECT_EQ(arr.full(arr.find(0)), tag >= 2);
+    }
+    std::vector<CacheLineState *> held;
+    for (Addr tag = 0; tag < 4; ++tag) {
+        held.push_back(arr.find(tag * stride));
+        held.back()->dirty = true;
+        EXPECT_TRUE(arr.full(held.back()));
+    }
+    // Other sets grow through every step and hand their outgrown
+    // blocks back to the arena, which gives them out again.
+    for (Addr set = 1; set < 200; ++set) {
+        for (Addr tag = 0; tag < 1 + set % 4; ++tag) {
+            const Addr line = tag * stride + set * kLineBytes;
+            arr.install(arr.victim(line), line);
+        }
+        // Three lines grow a set 1 -> 2 -> 4 ways: full.
+        EXPECT_EQ(arr.full(arr.find(set * kLineBytes)), set % 4 >= 2);
+    }
+    EXPECT_GT(arr.arena().freeBlockBytes(), 0u);
+    // Set 0 itself: an eviction and an invalidate-and-reinstall.
+    CacheLineState *lru = arr.victim(9 * stride);
+    EXPECT_EQ(lru, held[0]);
+    arr.install(lru, 9 * stride);
+    arr.invalidate(held[2]);
+    EXPECT_EQ(arr.victim(10 * stride), held[2]);
+    arr.install(held[2], 10 * stride);
+    // A power failure keeps the set's ways too.
+    arr.invalidateAll();
+    for (Addr tag = 0; tag < 4; ++tag) {
+        const Addr line = (tag + 20) * stride;
+        CacheLineState *f = arr.victim(line);
+        EXPECT_EQ(f, held[tag]);
+        arr.install(f, line);
+        EXPECT_EQ(arr.find(line), held[tag]);
+        EXPECT_TRUE(arr.full(held[tag]));
+    }
+}
+
+TEST(CacheArrayTest, WaysAllocatedAreTheLinesASetHeldRoundedToTheGrowthStep)
+{
+    CacheArray arr(64 * 1024, 16);  // 64 sets
+    const Addr stride = Addr(arr.numSets()) * kLineBytes;
+    // Set s ends up having held s + 1 lines at once.
+    std::uint64_t expect = 0;
+    for (Addr set = 0; set < 16; ++set) {
+        for (Addr tag = 0; tag <= set; ++tag) {
+            const Addr line = tag * stride + set * kLineBytes;
+            CacheLineState *f = arr.victim(line);
+            EXPECT_FALSE(arr.valid(f));
+            EXPECT_EQ(f->way, tag);
+            arr.install(f, line);
+        }
+        expect += waysFor(std::uint32_t(set), 16);
+        EXPECT_EQ(arr.waysAllocated(), expect);
+    }
+    EXPECT_EQ(waysFor(0, 16), 1u);
+    EXPECT_EQ(waysFor(4, 16), 8u);
+    EXPECT_EQ(waysFor(15, 16), 16u);
+    EXPECT_EQ(arr.setBlockBytes(), expect * CacheArena::kWayBytes);
+    // Churning lines through a set that still has an invalid way, or
+    // refilling after a power failure, grows nothing.
+    for (int i = 0; i < 100; ++i) {
+        const Addr line = Addr(i + 100) * stride + 5 * kLineBytes;
+        CacheLineState *f = arr.victim(line);
+        arr.install(f, line);
+        arr.invalidate(f);
+    }
+    arr.invalidateAll();
+    for (Addr set = 0; set < 16; ++set) {
+        for (Addr tag = 0; tag <= set; ++tag) {
+            const Addr line = (tag + 50) * stride + set * kLineBytes;
+            arr.install(arr.victim(line), line);
+        }
+    }
+    EXPECT_EQ(arr.waysAllocated(), expect);
+    EXPECT_EQ(arr.setsAllocated(), 16u);
+    // A set whose ways are all valid grows by the next step: set 4
+    // has 8 ways holding 5 lines after the refill.
+    for (Addr tag = 0; tag < 3; ++tag) {
+        const Addr line = (tag + 90) * stride + 4 * kLineBytes;
+        arr.install(arr.victim(line), line);
+    }
+    EXPECT_EQ(arr.waysAllocated(), expect);
+    const Addr ninth = 95 * stride + 4 * kLineBytes;
+    CacheLineState *f = arr.victim(ninth);
+    EXPECT_EQ(f->way, 8u);
+    EXPECT_EQ(arr.waysAllocated(), expect + 8);
+}
+
+TEST(CacheArrayTest, GrowsASetWhoseAllocatedWaysAreAllPinned)
+{
+    // The full array would pick an invalid way past the pinned ones;
+    // the grown set picks the same way.
+    CacheArray arr(64 * 1024, 16);  // 64 sets
+    ReferenceArray ref(64 * 1024, 16, 1);
+    const Addr stride = Addr(arr.numSets()) * kLineBytes;
+    for (Addr tag = 0; tag < 16; ++tag) {
+        const Addr line = tag * stride;
+        CacheLineState *f = arr.victim(line);
+        const int i = ref.victim(line);
+        EXPECT_EQ(f->way, std::uint32_t(i));
+        EXPECT_FALSE(arr.valid(f));
+        arr.install(f, line);
+        ref.install(i, line);
+        // Pin every line the set holds so far.
+        for (Addr t = 0; t <= tag; ++t) {
+            arr.find(t * stride)->pinned = true;
+            ref.frame(ref.find(t * stride)).pinned = true;
+        }
+    }
+    EXPECT_EQ(arr.waysAllocated(), 16u);
+    // Full and all pinned: plain LRU, as in the full array.
+    CacheLineState *f = arr.victim(99 * stride);
+    EXPECT_EQ(f->way, std::uint32_t(ref.victim(99 * stride)));
+    EXPECT_EQ(f->way, 0u);
+    EXPECT_TRUE(arr.full(f));
+    EXPECT_EQ(arr.waysAllocated(), 16u);
+}
+
+TEST(CacheArrayTest, ArraysShareOneArenaAndReuseOutgrownBlocks)
+{
+    CacheArena arena;
+    CacheArray a(64 * 1024, 4, 1, &arena);
+    CacheArray b(64 * 1024, 16, 1, &arena);
+    EXPECT_EQ(arena.blockChunkBytes(), 0u);
+    EXPECT_EQ(arena.slotsAllocated(), 0u);
+    // Set 0 of a grows 1 -> 2 -> 4 ways: its 1- and 2-way blocks go
+    // on the free lists.
+    const Addr stride_a = Addr(a.numSets()) * kLineBytes;
+    for (Addr tag = 0; tag < 3; ++tag)
+        a.install(a.victim(tag * stride_a), tag * stride_a);
+    EXPECT_EQ(a.waysAllocated(), 4u);
+    EXPECT_EQ(arena.freeBlockBytes(), 3 * CacheArena::kWayBytes);
+    const std::size_t chunks = arena.blockChunkBytes();
+    // b's set 0 takes the 1-way block, then grows into the 2-way one
+    // and gives the 1-way block back, which b's set 1 takes.
+    b.install(b.victim(0), 0);
+    const Addr stride_b = Addr(b.numSets()) * kLineBytes;
+    b.install(b.victim(stride_b), stride_b);
+    EXPECT_EQ(arena.freeBlockBytes(), CacheArena::kWayBytes);
+    b.install(b.victim(kLineBytes), kLineBytes);
+    EXPECT_EQ(b.waysAllocated(), 3u);
+    EXPECT_EQ(arena.freeBlockBytes(), 0u);
+    EXPECT_EQ(arena.blockChunkBytes(), chunks);
+    // Line data comes from one slot store, handed out zeroed.
+    EXPECT_EQ(arena.slotsUsed(), a.dataSlots() + b.dataSlots());
+    EXPECT_EQ(arena.slotsUsed(), 6u);
+    const Line zero{};
+    EXPECT_TRUE(b.data(b.find(kLineBytes)) == zero);
 }
 
 TEST(CacheArrayTest, LineDataGrowsOnlyWithDistinctFramesInstalled)
@@ -482,35 +693,41 @@ TEST(CacheArrayTest, LineDataGrowsOnlyWithDistinctFramesInstalled)
     // 1024 frames (16-way, 64 sets); no line data until installs.
     CacheArray arr(64 * 1024, 16);
     const std::uint32_t frames = 64 * 1024 / kLineBytes;
-    const std::uint32_t first_chunk = arr.dataCapacity();
     EXPECT_EQ(arr.dataSlots(), 0u);
-    EXPECT_LT(first_chunk, frames / 16);
+    EXPECT_EQ(arr.arena().slotsAllocated(), 0u);
 
-    // Churning one line through install/invalidate reuses its frame.
+    // Churning one line through install/invalidate reuses its frame;
+    // the first install takes the first chunk.
     CacheLineState *churned = nullptr;
     for (int i = 0; i < 1000; ++i) {
         churned = arr.victim(0x40);
         arr.install(churned, 0x40);
         arr.invalidate(churned);
     }
+    const std::uint32_t first_chunk = arr.arena().slotsAllocated();
     EXPECT_EQ(arr.dataSlots(), 1u);
-    EXPECT_EQ(arr.dataCapacity(), first_chunk);
+    EXPECT_GT(first_chunk, 0u);
+    EXPECT_LE(first_chunk, frames / 16);
 
-    // n distinct frames hold n slots, in at most twice the storage.
-    std::set<const CacheLineState *> distinct{churned};
+    // n distinct frames, each a (set, way), hold n slots, in at most
+    // twice the storage.
+    const Addr sets = arr.numSets();
+    std::set<std::pair<Addr, std::uint32_t>> distinct{
+        {lineNumber(0x40) % sets, churned->way}};
     Addr line = 0;
     for (std::uint32_t n : {8u, 100u, 300u, frames}) {
         for (; distinct.size() < n; line += kLineBytes) {
             CacheLineState *f = arr.victim(line);
             ASSERT_FALSE(arr.valid(f));
             arr.install(f, line);
-            distinct.insert(f);
+            distinct.insert({lineNumber(line) % sets, f->way});
         }
         const auto used = std::uint32_t(distinct.size());
         EXPECT_EQ(arr.dataSlots(), used);
-        EXPECT_LE(arr.dataCapacity(), std::max(first_chunk, 2 * used));
+        EXPECT_LE(arr.arena().slotsAllocated(),
+                  std::max(first_chunk, 2 * used));
     }
-    EXPECT_EQ(arr.dataCapacity(), frames);
+    EXPECT_EQ(arr.arena().slotsAllocated(), frames);
 
     // Power failure and a full reinstall allocate nothing new.
     arr.invalidateAll();
@@ -518,7 +735,7 @@ TEST(CacheArrayTest, LineDataGrowsOnlyWithDistinctFramesInstalled)
     for (Addr l = other; l < 2 * other; l += kLineBytes)
         arr.install(arr.victim(l), l);
     EXPECT_EQ(arr.dataSlots(), frames);
-    EXPECT_EQ(arr.dataCapacity(), frames);
+    EXPECT_EQ(arr.arena().slotsAllocated(), frames);
 }
 
 TEST(SharerSetTest, MatchesABitsetForCoreIdsUpTo1023)
