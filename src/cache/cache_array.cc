@@ -5,40 +5,11 @@
 #include <new>
 
 #include <sanitizer/asan_interface.h>
-#include <sys/mman.h>
 
 #include "sim/logging.hh"
 
 namespace atomsim
 {
-
-namespace
-{
-
-/** @p bytes of anonymous memory, reading as zero until written. */
-void *
-mapChunk(std::size_t bytes)
-{
-    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    panic_if(p == MAP_FAILED, "cache arena: mapping %zu bytes failed",
-             bytes);
-    return p;
-}
-
-} // namespace
-
-CacheArena::~CacheArena()
-{
-    // Poisoned free blocks would stay poisoned for whatever is mapped
-    // at their address next.
-    for (const BlockChunk &c : _blockChunks) {
-        ASAN_UNPOISON_MEMORY_REGION(c.base, c.bytes);
-        munmap(c.base, c.bytes);
-    }
-    for (unsigned k = 0; k < _slotChunks.size() && _slotChunks[k]; ++k)
-        munmap(_slotChunks[k], std::size_t(slotChunkSize(k)) * sizeof(Line));
-}
 
 std::byte *
 CacheArena::takeBlock(std::uint32_t ways)
@@ -55,10 +26,10 @@ CacheArena::takeBlock(std::uint32_t ways)
         // The tail of the last chunk (less than one block) is dropped.
         const std::size_t chunk = std::max(
             {kBlockChunk0Bytes, _blockChunkBytes, bytes});
-        // A block is constructed when handed out.
-        _blockNext = static_cast<std::byte *>(mapChunk(chunk));
+        // Left uninitialized: a block is constructed when handed out.
+        _blockChunks.emplace_back(new std::byte[chunk]);
+        _blockNext = _blockChunks.back().get();
         _blockEnd = _blockNext + chunk;
-        _blockChunks.push_back({_blockNext, chunk});
         _blockChunkBytes += chunk;
     }
     std::byte *block = _blockNext;
@@ -87,13 +58,13 @@ CacheArena::newSlot()
                  "cache arena out of line-data slot handles");
         const unsigned chunk = slotChunk(_slotsAllocated);
         const std::uint32_t size = slotChunkSize(chunk);
-        // Mapped pages read as zero, and a slot is handed out once:
-        // every slot starts zeroed.
-        _slotChunks[chunk] = new (mapChunk(std::size_t(size) * sizeof(Line)))
-            Line[size];
+        // Left uninitialized: each slot is zeroed when handed out.
+        _slotChunks[chunk].reset(new Line[size]);
         _slotsAllocated += size;
     }
-    return _slotsUsed++;
+    const std::uint32_t slot = _slotsUsed++;
+    slotData(slot).fill(0);
+    return slot;
 }
 
 CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
@@ -263,7 +234,10 @@ CacheArray::invalidate(CacheLineState *frame)
 void
 CacheArray::invalidateAll()
 {
+    // Scans the 2-byte way counts; only the sets in use are touched.
     for (std::uint32_t set = 0; set < _numSets; ++set) {
+        if (_setWays[set] == 0)
+            continue;
         CacheLineState *frames = _sets[set];
         for (std::uint32_t w = 0; w < _setWays[set]; ++w) {
             tagOf(frames, w) = 0;

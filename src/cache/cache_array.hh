@@ -28,12 +28,9 @@ namespace atomsim
  *    outgrown are recycled through one free list per way count.
  *  - Line-data slots are handed out zeroed and never returned.
  *
- * Both come from chunks that double in size across every array that
- * shares the arena, so an arena maps O(log bytes) chunks over its
- * life. Chunks are anonymous memory mappings, not heap allocations: a
- * page becomes resident when first touched, so the part of a chunk
- * not yet handed out costs address space only. (A heap chunk would
- * often reuse pages that earlier, freed objects left resident.)
+ * Both come from heap chunks, left uninitialized, that double in size
+ * across every array that shares the arena, so an arena makes
+ * O(log bytes) allocations over its life.
  */
 class CacheArena
 {
@@ -43,7 +40,6 @@ class CacheArena
         sizeof(CacheLineState) + sizeof(Addr);
 
     CacheArena() = default;
-    ~CacheArena();
     CacheArena(const CacheArena &) = delete;
     CacheArena &operator=(const CacheArena &) = delete;
 
@@ -79,10 +75,9 @@ class CacheArena
     /** Bytes of the first block chunk; each later one doubles the
      * total so far. */
     static constexpr std::size_t kBlockChunk0Bytes = 4096;
-    /** Slot chunk 0 holds 2^kSlotChunk0Shift slots (one 4 KB page);
-     * chunk k >= 1 holds 2^(kSlotChunk0Shift + k - 1) and starts at
-     * that slot. */
-    static constexpr unsigned kSlotChunk0Shift = 6;
+    /** Slot chunk 0 holds 2^kSlotChunk0Shift slots; chunk k >= 1
+     * holds 2^(kSlotChunk0Shift + k - 1) and starts at that slot. */
+    static constexpr unsigned kSlotChunk0Shift = 4;
 
     static unsigned
     slotChunk(std::uint32_t slot)
@@ -104,12 +99,7 @@ class CacheArena
         return chunk == 0 ? 1u << kSlotChunk0Shift : slotChunkFirst(chunk);
     }
 
-    struct BlockChunk
-    {
-        std::byte *base;
-        std::size_t bytes;
-    };
-    std::vector<BlockChunk> _blockChunks;
+    std::vector<std::unique_ptr<std::byte[]>> _blockChunks;
     std::byte *_blockNext = nullptr;  //!< bump pointer in the last chunk
     std::byte *_blockEnd = nullptr;
     std::size_t _blockChunkBytes = 0;
@@ -118,7 +108,7 @@ class CacheArena
     std::vector<std::byte *> _freeBlocks;
     std::size_t _freeBlockBytes = 0;
     /** Enough chunks for the 2^31 slots newSlot() hands out at most. */
-    std::array<Line *, 32 - kSlotChunk0Shift> _slotChunks{};
+    std::array<std::unique_ptr<Line[]>, 32 - kSlotChunk0Shift> _slotChunks;
     std::uint32_t _slotsUsed = 0;
     std::uint32_t _slotsAllocated = 0;
 };

@@ -707,7 +707,7 @@ TEST(CacheArrayTest, LineDataGrowsOnlyWithDistinctFramesInstalled)
     const std::uint32_t first_chunk = arr.arena().slotsAllocated();
     EXPECT_EQ(arr.dataSlots(), 1u);
     EXPECT_GT(first_chunk, 0u);
-    EXPECT_LE(first_chunk, frames / 16);
+    EXPECT_LT(first_chunk, frames / 16);
 
     // n distinct frames, each a (set, way), hold n slots, in at most
     // twice the storage.
